@@ -3,7 +3,7 @@ BENCH ?= BENCH_3.json
 BENCH_COMMIT ?= BENCH_6.json
 BENCH_LIVECHECK ?= BENCH_9.json
 
-.PHONY: check test bench bench-commit bench-livecheck chaos obs-smoke livecheck-smoke histcheck hunt-regress hunt-smoke overload-smoke lint profile profile-mutex clean
+.PHONY: check test bench bench-commit bench-livecheck chaos obs-smoke livecheck-smoke histcheck hunt-regress hunt-smoke overload-smoke fuzz-smoke lint profile profile-mutex clean
 
 # check is the full gate: compile, vet, and the whole test suite under the
 # race detector (the plan cache, wire server, and WAL are concurrency-critical).
@@ -61,6 +61,15 @@ overload-smoke:
 	$(GO) test -count=1 -run 'TestRetry|TestFullJitter|TestBackoffFor|TestEmbeddedConnOverloadSuite' ./internal/db
 	$(GO) test -count=1 -run 'TestMaxConns|TestAdmission|TestShedVerdict|TestWireConnOverloadSuite' ./internal/wire
 	$(GO) run ./cmd/feralbench -experiment overload -quick -metrics=false
+
+# fuzz-smoke runs the native fuzz target of the history decoder for a short
+# budget, starting from its checked-in seed corpus (the testdata/hunt
+# witnesses, under internal/histcheck/testdata/fuzz/FuzzReadJSONL): ReadJSONL
+# must not panic, a decoded history must round-trip through WriteJSONL, and
+# Check and AlmostCycles must not panic on it. feralcheck and /anomalies
+# replays feed untrusted JSONL straight into the dependency graph.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzReadJSONL -fuzztime=10s ./internal/histcheck
 
 # lint runs go vet always and staticcheck when the binary is present (the CI
 # lint job installs it; locally the target degrades to vet alone).

@@ -170,7 +170,7 @@ func BenchmarkFig7Authorship(b *testing.B) {
 
 func BenchmarkSSIBug(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunSSIBug(8, 10, 16); err != nil {
+		if _, err := experiment.RunSSIBug(8, 10, 16, false, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -118,6 +118,7 @@ func printLiveCheckSummary(w io.Writer) {
 		"feraldb_anomaly_watch_sampled_txns_total",
 		"feraldb_anomaly_watch_escalations_total",
 		"feraldb_anomaly_watch_events_total",
+		"feraldb_anomaly_watch_events_processed_total",
 		"feraldb_anomaly_watch_events_shed_total",
 		"feraldb_anomaly_watch_window_evictions_total",
 		"feraldb_anomaly_watch_window_truncated_total",

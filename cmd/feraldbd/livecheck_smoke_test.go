@@ -221,6 +221,7 @@ func TestLiveCheckSmoke(t *testing.T) {
 	}
 	for _, series := range []string{
 		"feraldb_anomaly_watch_events_total",
+		"feraldb_anomaly_watch_events_processed_total",
 		"feraldb_anomaly_watch_sampled_txns_total",
 		`feraldb_anomaly_watch_anomalies_total{class="G-single"}`,
 		`feraldb_anomaly_watch_anomalies_by_level_total{level="READ COMMITTED"}`,

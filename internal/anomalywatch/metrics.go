@@ -11,6 +11,8 @@ import (
 var (
 	mEvents = obs.NewCounter(obs.Default(),
 		"feraldb_anomaly_watch_events_total", "History events accepted into the live-checker ring")
+	mProcessed = obs.NewCounter(obs.Default(),
+		"feraldb_anomaly_watch_events_processed_total", "History events the live checker has processed; its rate() is the checker's drain rate")
 	mShed = obs.NewCounter(obs.Default(),
 		"feraldb_anomaly_watch_events_shed_total", "History events dropped because the live-checker ring was full")
 	mSampled = obs.NewCounter(obs.Default(),

@@ -566,7 +566,10 @@ func TestAbortedTxProducesNoEdges(t *testing.T) {
 }
 
 // TestRandomizedParity cross-checks live vs offline class sets over many
-// generated histories — a lightweight differential fuzz of the two checkers.
+// generated histories. Both checkers feed the one histcheck.Graph, so this
+// pins what the watcher adds around it — intake, per-commit detection,
+// finding dedup and the almost-cycle gauge; the graph's independent oracle is
+// histcheck's TestGraphMatchesReference.
 func TestRandomizedParity(t *testing.T) {
 	rng := splitRng(0xfeedface)
 	for trial := 0; trial < 150; trial++ {
@@ -581,6 +584,10 @@ func TestRandomizedParity(t *testing.T) {
 
 		if st.Shed != 0 || st.Truncated != 0 {
 			continue
+		}
+		if want := len(histcheck.AlmostCycles(events)); st.Almost != want {
+			t.Errorf("trial %d: live almost-cycle gauge %d, offline %d\nhistory:\n%s",
+				trial, st.Almost, want, dumpHistory(events))
 		}
 		// The final live graph converges to the offline one, and detection runs
 		// at the last commit, so live must find every offline class.

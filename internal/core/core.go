@@ -188,7 +188,7 @@ func (s *Study) RunSSIBug() (experiment.SSIBugResult, error) {
 	if s.Quick {
 		workers, rounds, concurrency = 8, 25, 16
 	}
-	return experiment.RunSSIBug(workers, rounds, concurrency)
+	return experiment.RunSSIBug(workers, rounds, concurrency, s.CheckHistory, s.LiveCheck)
 }
 
 // RunIsolationSweep runs the extension experiment: both anomaly classes

@@ -177,7 +177,7 @@ func TestAssociationWorkloadRuns(t *testing.T) {
 }
 
 func TestSSIBugReproduction(t *testing.T) {
-	res, err := RunSSIBug(8, 30, 16)
+	res, err := RunSSIBug(8, 30, 16, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,5 +310,28 @@ func TestIsolationSweep(t *testing.T) {
 	// Serializable pays with aborts instead.
 	if byLevel[storage.Serializable].SerializationFailures == 0 {
 		t.Error("serializable reported no serialization failures under contention")
+	}
+}
+
+// TestSSIBugCellsGated pins the -check-history banner for the footnote 8
+// cells: with CheckHistory and LiveCheck set, every cell records its history
+// and passes it through the offline gate and the live/offline parity gate.
+// The gate is item-level, so the phantom-bug cell still passes: its
+// duplicates come from predicate anti-dependencies the checker does not yet
+// model.
+func TestSSIBugCellsGated(t *testing.T) {
+	res, err := RunSSIBug(4, 5, 8, true, true)
+	if err != nil {
+		t.Fatalf("gated ssibug cells: %v", err)
+	}
+	if res.GatedEvents == 0 {
+		t.Fatal("ssibug cells with CheckHistory gated no history events")
+	}
+	plain, err := RunSSIBug(4, 5, 8, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.GatedEvents != 0 {
+		t.Errorf("ssibug cells without CheckHistory gated %d events", plain.GatedEvents)
 	}
 }

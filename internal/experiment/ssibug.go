@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"time"
 
 	"feralcc/internal/appserver"
@@ -20,24 +21,33 @@ type SSIBugResult struct {
 	// the number under Read Committed ... but we still detected duplicate
 	// records").
 	DuplicatesReadCommitted int64
+	// GatedEvents counts the history events the isolation gate checked
+	// across the three cells; zero unless checkHistory was set.
+	GatedEvents int
 }
 
 // RunSSIBug measures duplicate admission for the feral validator under
 // Serializable (correct), Serializable with the phantom bug, and Read
-// Committed.
-func RunSSIBug(workers, rounds, concurrency int) (SSIBugResult, error) {
+// Committed. With checkHistory set, every cell's history goes through the
+// offline isolation checker (and, with liveCheck, the live/offline parity
+// gate), as the uniqueness cells do.
+func RunSSIBug(workers, rounds, concurrency int, checkHistory, liveCheck bool) (SSIBugResult, error) {
+	var res SSIBugResult
 	run := func(level storage.IsolationLevel, bug bool) (int64, error) {
 		cfg := StressConfig{
-			Workers:     []int{workers},
-			Concurrency: concurrency,
-			Rounds:      rounds,
-			Isolation:   level,
-			PhantomBug:  bug,
-			ThinkTime:   time.Millisecond,
+			Workers:      []int{workers},
+			Concurrency:  concurrency,
+			Rounds:       rounds,
+			Isolation:    level,
+			PhantomBug:   bug,
+			ThinkTime:    time.Millisecond,
+			CheckHistory: checkHistory,
+			LiveCheck:    liveCheck,
 		}
-		return ssiBugCell(cfg)
+		dups, gated, err := ssiBugCell(cfg)
+		res.GatedEvents += gated
+		return dups, err
 	}
-	var res SSIBugResult
 	var err error
 	if res.DuplicatesCorrect, err = run(storage.Serializable, false); err != nil {
 		return res, err
@@ -51,30 +61,50 @@ func RunSSIBug(workers, rounds, concurrency int) (SSIBugResult, error) {
 	return res, nil
 }
 
-// ssiBugCell runs the feral-validation variant only.
-func ssiBugCell(cfg StressConfig) (int64, error) {
+// ssiBugCell runs the feral-validation variant only and returns its
+// duplicate count and the number of history events its gate checked.
+func ssiBugCell(cfg StressConfig) (int64, int, error) {
 	d := db.Open(storage.Options{
 		DefaultIsolation: cfg.Isolation,
 		PhantomBug:       cfg.PhantomBug,
 		LockTimeout:      2 * time.Second,
+		RecordHistory:    cfg.CheckHistory,
+		LiveCheck:        liveCheckConfig(cfg.LiveCheck),
 	})
+	defer d.Close()
 	registry, err := appserver.UniquenessModels()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if err := appserver.MigrateOn(d, registry); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	pool, err := appserver.NewPool(cfg.Workers[0], registry, func() db.Conn { return d.Connect() })
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	defer pool.Close()
 	pool.Configure(func(w *appserver.Worker) { w.Session.ThinkTime = cfg.ThinkTime })
-	if err := runStressRounds(pool, "ValidatedKeyValue", cfg.Rounds, cfg.Concurrency); err != nil {
-		return 0, err
+	err = runStressRounds(pool, "ValidatedKeyValue", cfg.Rounds, cfg.Concurrency)
+	pool.Close()
+	if err != nil {
+		return 0, 0, err
+	}
+	gated := 0
+	if cfg.CheckHistory {
+		gated = len(d.History())
+		label := fmt.Sprintf("ssibug-p%d-%s", cfg.Workers[0], cfg.Isolation)
+		if cfg.PhantomBug {
+			label += "-phantombug"
+		}
+		if err := verifyHistory(d, label); err != nil {
+			return 0, 0, err
+		}
+		if err := verifyLiveParity(d, label); err != nil {
+			return 0, 0, err
+		}
 	}
 	conn := d.Connect()
 	defer conn.Close()
-	return appserver.CountDuplicates(conn, "validated_key_values")
+	dups, err := appserver.CountDuplicates(conn, "validated_key_values")
+	return dups, gated, err
 }

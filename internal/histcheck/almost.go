@@ -36,81 +36,42 @@ func (a AlmostCycle) String() string {
 // kept every read isolated from every concurrent writer — nothing to steer
 // toward, so the hunter falls back to random schedules.
 func AlmostCycles(events []Event) []AlmostCycle {
-	committed := map[uint64]bool{}
-	terminated := map[uint64]bool{}
-	for i := range events {
-		switch events[i].Kind {
-		case KindCommit:
-			committed[events[i].Tx] = true
-			terminated[events[i].Tx] = true
-		case KindAbort:
-			terminated[events[i].Tx] = true
-		}
-	}
+	g := NewGraph()
+	g.addAll(events)
+	return g.AlmostCycles()
+}
 
-	rowKey := func(e *Event) string { return e.Table + "\x00" + fmt.Sprint(e.Row) }
-
-	// Version writers and the committed install order per row, mirroring
-	// Check's reconstruction.
-	writerOf := map[string]map[uint64]uint64{}
-	type inst struct {
-		version uint64
-		tx      uint64
-		seq     uint64
-	}
-	installs := map[string][]inst{}
-	for i := range events {
-		e := &events[i]
-		if e.Kind != KindWrite || e.Version == 0 || !committed[e.Tx] {
-			continue
-		}
-		rk := rowKey(e)
-		if writerOf[rk] == nil {
-			writerOf[rk] = map[uint64]uint64{}
-		}
-		if _, dup := writerOf[rk][e.Version]; !dup {
-			writerOf[rk][e.Version] = e.Tx
-		}
-		installs[rk] = append(installs[rk], inst{version: e.Version, tx: e.Tx, seq: e.Seq})
-	}
-	for _, list := range installs {
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].version != list[j].version {
-				return list[i].version < list[j].version
-			}
-			return list[i].seq < list[j].seq
-		})
-	}
-
+// AlmostCycles lists the graph's almost-cycles, as the package-level
+// AlmostCycles does for a whole history: for every terminated reader, its
+// reads are matched against the current version order and version writers.
+func (g *Graph) AlmostCycles() []AlmostCycle {
 	type pair struct{ from, to uint64 }
-	wr := map[pair]AlmostCycle{}
+	seen := map[pair]bool{}
 	rw := map[pair]bool{}
-	var order []pair
-	for i := range events {
-		e := &events[i]
-		if e.Kind != KindRead || e.Own || e.Observed == 0 || !terminated[e.Tx] {
+	var wr []AlmostCycle
+	for _, t := range g.txs {
+		if !t.committed && !t.aborted {
 			continue
 		}
-		rk := rowKey(e)
-		if w, known := writerOf[rk][e.Observed]; known && w != e.Tx {
-			p := pair{from: w, to: e.Tx}
-			if _, dup := wr[p]; !dup {
-				wr[p] = AlmostCycle{Writer: w, Reader: e.Tx, Table: e.Table, Row: e.Row}
-				order = append(order, p)
+		for _, r := range t.reads {
+			if id, known := g.writerOf[versionKey{r.row, r.observed}]; known && id != t.id {
+				if w := g.txs[id]; w != nil && w.committed && !seen[pair{id, t.id}] {
+					seen[pair{id, t.id}] = true
+					wr = append(wr, AlmostCycle{Writer: id, Reader: t.id, Table: r.row.table, Row: r.row.row})
+				}
 			}
-		}
-		if list := installs[rk]; list != nil {
-			idx := sort.Search(len(list), func(i int) bool { return list[i].version > e.Observed })
-			if idx < len(list) && list[idx].tx != e.Tx {
-				rw[pair{from: e.Tx, to: list[idx].tx}] = true
+			if rs := g.rows[r.row]; rs != nil {
+				idx := sort.Search(len(rs.installs), func(i int) bool { return rs.installs[i].version > r.observed })
+				if idx < len(rs.installs) && rs.installs[idx].tx != t.id {
+					rw[pair{t.id, rs.installs[idx].tx}] = true
+				}
 			}
 		}
 	}
-
-	var out []AlmostCycle
-	for _, p := range order {
-		if !rw[pair{from: p.to, to: p.from}] {
-			out = append(out, wr[p])
+	out := wr[:0]
+	for _, a := range wr {
+		if !rw[pair{a.Reader, a.Writer}] {
+			out = append(out, a)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

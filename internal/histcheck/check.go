@@ -161,26 +161,27 @@ func (k edgeKind) String() string {
 	}
 }
 
+// edge is one graph edge. Its label is kept as fields and formatted only for
+// a reported witness: ww links version v1 of row to v2, wr is a read of v1,
+// and rw a read of v1 overwritten by v2.
 type edge struct {
 	from, to uint64
 	kind     edgeKind
-	label    string // e.g. "users r3: v2->v7"
+	refs     int32 // justifications still holding the edge
+	row      rowKey
+	v1, v2   uint64
 }
 
-// txInfo aggregates one transaction's events.
-type txInfo struct {
-	id        uint64
-	level     string
-	committed bool
-	aborted   bool
-}
-
-// install is one committed (or, in synthetic histories, dirty) version.
-type install struct {
-	version uint64
-	tx      uint64
-	op      string
-	seq     uint64
+// label renders the edge's witness label, e.g. "users r3: v2->v7".
+func (e edge) label() string {
+	switch e.kind {
+	case edgeWW:
+		return fmt.Sprintf("%s: v%d->v%d", e.row, e.v1, e.v2)
+	case edgeWR:
+		return fmt.Sprintf("%s: T%d installed v%d, read by T%d", e.row, e.from, e.v1, e.to)
+	default:
+		return fmt.Sprintf("%s: read v%d, overwritten by v%d", e.row, e.v1, e.v2)
+	}
 }
 
 // maxWitnessesPerClass bounds how many findings of one anomaly class a
@@ -189,225 +190,37 @@ type install struct {
 const maxWitnessesPerClass = 2
 
 // Check builds the direct serialization graph for a history and returns the
-// anomalies it contains. Transactions with no commit or abort event (still
-// in flight when the history was captured) are ignored, as are their writes.
+// anomalies it contains: it feeds every event to a Graph in Seq order, never
+// evicts, and asks for the findings once. Transactions with no commit or abort
+// event (still in flight when the history was captured) add no edges, and
+// neither do their writes.
 func Check(events []Event) *Report {
-	txs := map[uint64]*txInfo{}
-	get := func(id uint64) *txInfo {
-		t := txs[id]
-		if t == nil {
-			t = &txInfo{id: id}
-			txs[id] = t
-		}
-		return t
-	}
-
-	type rowVersions struct {
-		installs []install
-	}
-	rows := map[string]*rowVersions{}          // table\x00row -> committed installs
-	writerOf := map[string]map[uint64]uint64{} // rowKey -> version -> writer tx (any outcome)
-	// finalWrite tracks, per (tx, rowKey), the version of the tx's last
-	// write event to that row — the value every other transaction is allowed
-	// to read. Earlier versions are intermediate (G1b).
-	finalWrite := map[uint64]map[string]uint64{}
-
-	rowKey := func(e *Event) string { return e.Table + "\x00" + fmt.Sprint(e.Row) }
-
-	for i := range events {
-		e := &events[i]
-		t := get(e.Tx)
-		switch e.Kind {
-		case KindBegin:
-			t.level = e.Level
-		case KindCommit:
-			t.committed = true
-		case KindAbort:
-			t.aborted = true
-		case KindWrite:
-			if e.Version == 0 {
-				continue // never installed (aborted in-engine); invisible
-			}
-			rk := rowKey(e)
-			if writerOf[rk] == nil {
-				writerOf[rk] = map[uint64]uint64{}
-			}
-			if _, dup := writerOf[rk][e.Version]; !dup {
-				writerOf[rk][e.Version] = e.Tx
-			}
-			if finalWrite[e.Tx] == nil {
-				finalWrite[e.Tx] = map[string]uint64{}
-			}
-			finalWrite[e.Tx][rk] = e.Version // later events overwrite: last wins
-		}
-	}
-
-	// Committed installs define the version order per row.
-	for i := range events {
-		e := &events[i]
-		if e.Kind != KindWrite || e.Version == 0 || !get(e.Tx).committed {
-			continue
-		}
-		rk := rowKey(e)
-		rv := rows[rk]
-		if rv == nil {
-			rv = &rowVersions{}
-			rows[rk] = rv
-		}
-		rv.installs = append(rv.installs, install{version: e.Version, tx: e.Tx, op: e.Op, seq: e.Seq})
-	}
-	for _, rv := range rows {
-		sort.Slice(rv.installs, func(i, j int) bool {
-			if rv.installs[i].version != rv.installs[j].version {
-				return rv.installs[i].version < rv.installs[j].version
-			}
-			return rv.installs[i].seq < rv.installs[j].seq
-		})
-	}
-
-	rep := &Report{Edges: map[string]int{"ww": 0, "wr": 0, "rw": 0}}
-	levelSet := map[string]bool{}
-	for _, t := range txs {
-		rep.Transactions++
-		if t.committed {
-			rep.Committed++
-		}
-		if t.aborted {
-			rep.Aborted++
-		}
-		if t.level != "" {
-			levelSet[t.level] = true
-		}
-	}
-	for l := range levelSet {
-		rep.Levels = append(rep.Levels, l)
-	}
-	sort.Strings(rep.Levels)
-
-	// Edge construction. Adjacency is deduplicated on (from, to, kind); the
-	// first label wins, which keeps witnesses stable for a fixed history.
-	adj := map[uint64][]edge{}
-	seenEdge := map[[3]uint64]bool{}
-	addEdge := func(from, to uint64, kind edgeKind, label string) {
-		if from == to {
-			return
-		}
-		k := [3]uint64{from, to, uint64(kind)}
-		if seenEdge[k] {
-			return
-		}
-		seenEdge[k] = true
-		adj[from] = append(adj[from], edge{from: from, to: to, kind: kind, label: label})
-		rep.Edges[kind.String()]++
-	}
-	prettyRow := func(rk string) string {
-		parts := strings.SplitN(rk, "\x00", 2)
-		if len(parts) == 2 {
-			return parts[0] + " r" + parts[1]
-		}
-		return rk
-	}
-
-	// ww: consecutive committed versions of one row.
-	for rk, rv := range rows {
-		for i := 1; i < len(rv.installs); i++ {
-			a, b := rv.installs[i-1], rv.installs[i]
-			addEdge(a.tx, b.tx, edgeWW, fmt.Sprintf("%s: v%d->v%d", prettyRow(rk), a.version, b.version))
-		}
-	}
-
-	// wr and rw from committed reads; G1a/G1b fall out of the same pass.
-	var flat []Finding
-	g1Seen := map[string]bool{} // dedup key for direct (non-cyclic) findings
-	for i := range events {
-		e := &events[i]
-		if e.Kind != KindRead || e.Own || e.Observed == 0 {
-			continue
-		}
-		reader := get(e.Tx)
-		if !reader.committed {
-			continue
-		}
-		rk := rowKey(e)
-		writerID, known := uint64(0), false
-		if m := writerOf[rk]; m != nil {
-			writerID, known = m[e.Observed]
-		}
-		if known {
-			w := get(writerID)
-			switch {
-			case w.aborted:
-				key := fmt.Sprintf("G1a|%d|%d|%s|%d", e.Tx, writerID, rk, e.Observed)
-				if !g1Seen[key] {
-					g1Seen[key] = true
-					flat = append(flat, Finding{
-						Anomaly: G1a,
-						Txs:     []uint64{e.Tx, writerID},
-						Levels:  []string{reader.level, w.level},
-						Witness: fmt.Sprintf("T%d read %s v%d installed by aborted T%d",
-							e.Tx, prettyRow(rk), e.Observed, writerID),
-					})
-				}
-			case w.committed:
-				if final := finalWrite[writerID][rk]; final != e.Observed {
-					key := fmt.Sprintf("G1b|%d|%d|%s|%d", e.Tx, writerID, rk, e.Observed)
-					if !g1Seen[key] {
-						g1Seen[key] = true
-						flat = append(flat, Finding{
-							Anomaly: G1b,
-							Txs:     []uint64{e.Tx, writerID},
-							Levels:  []string{reader.level, w.level},
-							Witness: fmt.Sprintf("T%d read %s v%d, an intermediate write of T%d (final v%d)",
-								e.Tx, prettyRow(rk), e.Observed, writerID, final),
-						})
-					}
-				}
-				addEdge(writerID, e.Tx, edgeWR,
-					fmt.Sprintf("%s: T%d installed v%d, read by T%d", prettyRow(rk), writerID, e.Observed, e.Tx))
-			}
-		}
-		// rw: the reader depends on the absence of the observed version's
-		// committed successor.
-		if rv := rows[rk]; rv != nil {
-			idx := sort.Search(len(rv.installs), func(i int) bool {
-				return rv.installs[i].version > e.Observed
-			})
-			if idx < len(rv.installs) {
-				succ := rv.installs[idx]
-				addEdge(e.Tx, succ.tx, edgeRW,
-					fmt.Sprintf("%s: read v%d, overwritten by v%d", prettyRow(rk), e.Observed, succ.version))
-			}
-		}
-	}
-
-	cyclic := findCycles(adj, txs)
-	rep.Findings = append(flat, cyclic...)
-	for i := range rep.Findings {
-		f := &rep.Findings[i]
-		for _, lvl := range f.Levels {
-			if !Allowed(lvl)[f.Anomaly] {
-				f.Forbidden = true
-				break
-			}
-		}
-	}
+	g := NewGraph()
+	g.addAll(events)
+	rep := &Report{Findings: g.Findings()}
+	g.report(rep)
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
 		return rep.Findings[i].Forbidden && !rep.Findings[j].Forbidden
 	})
 	return rep
 }
 
-// findCycles detects the cyclic phenomena (G0, G1c, G-single, G2-item) and
-// returns one finding per witness, bounded per class and strongly connected
-// component.
-func findCycles(adj map[uint64][]edge, txs map[uint64]*txInfo) []Finding {
-	comps := sccs(adj)
+// cycles detects the cyclic phenomena (G0, G1c, G-single, G2-item) in every
+// strongly connected component that holds a dirty transaction, returns one
+// finding per witness, bounded per class and component, and clears the dirty
+// set.
+func (g *Graph) cycles() []Finding {
+	comps := g.sccs(g.dirty)
+	for _, id := range g.dirty {
+		if t := g.txs[id]; t != nil {
+			t.dirty = false
+		}
+	}
+	g.dirty = g.dirty[:0]
+
 	var out []Finding
 	for _, comp := range comps {
-		if len(comp) < 2 {
-			continue // self-edges are never added, so singletons are acyclic
-		}
-		in := map[uint64]bool{}
+		in := make(map[uint64]bool, len(comp))
 		for _, n := range comp {
 			in[n] = true
 		}
@@ -422,7 +235,7 @@ func findCycles(adj map[uint64][]edge, txs map[uint64]*txInfo) []Finding {
 			f := Finding{Anomaly: a, Witness: formatCycle(cycle)}
 			for _, e := range cycle {
 				f.Txs = append(f.Txs, e.from)
-				f.Levels = append(f.Levels, txs[e.from].level)
+				f.Levels = append(f.Levels, g.txs[e.from].level)
 			}
 			out = append(out, f)
 		}
@@ -432,11 +245,11 @@ func findCycles(adj map[uint64][]edge, txs map[uint64]*txInfo) []Finding {
 			if counts[G0] >= maxWitnessesPerClass {
 				break
 			}
-			for _, e := range adj[n] {
+			for _, e := range g.txs[n].out {
 				if e.kind != edgeWW || !member(e) {
 					continue
 				}
-				if path := shortestPath(adj, e.to, e.from, in, func(x edge) bool { return x.kind == edgeWW }); path != nil {
+				if path := g.shortestPath(e.to, e.from, in, func(x edge) bool { return x.kind == edgeWW }); path != nil {
 					record(G0, append([]edge{e}, path...))
 					break
 				}
@@ -447,11 +260,11 @@ func findCycles(adj map[uint64][]edge, txs map[uint64]*txInfo) []Finding {
 			if counts[G1c] >= maxWitnessesPerClass {
 				break
 			}
-			for _, e := range adj[n] {
+			for _, e := range g.txs[n].out {
 				if e.kind != edgeWR || !member(e) {
 					continue
 				}
-				if path := shortestPath(adj, e.to, e.from, in, func(x edge) bool { return x.kind != edgeRW }); path != nil {
+				if path := g.shortestPath(e.to, e.from, in, func(x edge) bool { return x.kind != edgeRW }); path != nil {
 					record(G1c, append([]edge{e}, path...))
 					break
 				}
@@ -468,14 +281,14 @@ func findCycles(adj map[uint64][]edge, txs map[uint64]*txInfo) []Finding {
 			if counts[GSingle] >= maxWitnessesPerClass && counts[G2Item] >= maxWitnessesPerClass {
 				break
 			}
-			for _, e := range adj[n] {
+			for _, e := range g.txs[n].out {
 				if e.kind != edgeRW || !member(e) {
 					continue
 				}
-				if path := shortestPath(adj, e.to, e.from, in, func(x edge) bool { return x.kind != edgeRW }); path != nil {
+				if path := g.shortestPath(e.to, e.from, in, func(x edge) bool { return x.kind != edgeRW }); path != nil {
 					record(GSingle, append([]edge{e}, path...))
 				}
-				if path := rwReturnPath(adj, e.to, e.from, in); path != nil {
+				if path := g.rwReturnPath(e.to, e.from, in); path != nil {
 					record(G2Item, append([]edge{e}, path...))
 				}
 				if counts[GSingle] >= maxWitnessesPerClass && counts[G2Item] >= maxWitnessesPerClass {
@@ -489,7 +302,7 @@ func findCycles(adj map[uint64][]edge, txs map[uint64]*txInfo) []Finding {
 
 // shortestPath returns the edges of a shortest path from src to dst using
 // only edges admitted by ok, restricted to nodes with in[node], or nil.
-func shortestPath(adj map[uint64][]edge, src, dst uint64, in map[uint64]bool, ok func(edge) bool) []edge {
+func (g *Graph) shortestPath(src, dst uint64, in map[uint64]bool, ok func(edge) bool) []edge {
 	if src == dst {
 		return []edge{}
 	}
@@ -499,7 +312,7 @@ func shortestPath(adj map[uint64][]edge, src, dst uint64, in map[uint64]bool, ok
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, e := range adj[n] {
+		for _, e := range g.txs[n].out {
 			if !ok(e) || !in[e.to] || visited[e.to] {
 				continue
 			}
@@ -527,7 +340,7 @@ func shortestPath(adj map[uint64][]edge, src, dst uint64, in map[uint64]bool, ok
 // return path also exists (that one the G-single branch reports separately).
 // The search runs over (node, crossed-an-rw) states, so a node may be visited
 // once per flag value.
-func rwReturnPath(adj map[uint64][]edge, src, dst uint64, in map[uint64]bool) []edge {
+func (g *Graph) rwReturnPath(src, dst uint64, in map[uint64]bool) []edge {
 	if src == dst {
 		return nil
 	}
@@ -546,7 +359,7 @@ func rwReturnPath(adj map[uint64][]edge, src, dst uint64, in map[uint64]bool) []
 		if s.node == dst {
 			continue // the destination terminates a path, never extends one
 		}
-		for _, e := range adj[s.node] {
+		for _, e := range g.txs[s.node].out {
 			if !in[e.to] {
 				continue
 			}
@@ -574,77 +387,82 @@ func rwReturnPath(adj map[uint64][]edge, src, dst uint64, in map[uint64]bool) []
 func formatCycle(cycle []edge) string {
 	var b strings.Builder
 	for _, e := range cycle {
-		fmt.Fprintf(&b, "T%d --%s[%s]--> ", e.from, e.kind, e.label)
+		fmt.Fprintf(&b, "T%d --%s[%s]--> ", e.from, e.kind, e.label())
 	}
 	fmt.Fprintf(&b, "T%d", cycle[0].from)
 	return b.String()
 }
 
-// sccs computes strongly connected components with an iterative Tarjan, so
-// long dependency chains cannot overflow the goroutine stack.
-func sccs(adj map[uint64][]edge) [][]uint64 {
-	index := map[uint64]int{}
-	low := map[uint64]int{}
-	onStack := map[uint64]bool{}
-	var stack []uint64
-	var comps [][]uint64
-	next := 0
+type tarjanFrame struct {
+	t  *txInfo
+	ei int
+}
 
-	type frame struct {
-		node uint64
-		ei   int
-	}
-	for start := range adj {
-		if _, seen := index[start]; seen {
-			continue
-		}
-		frames := []frame{{node: start}}
-		index[start] = next
-		low[start] = next
+// sccs returns the strongly connected components of two or more
+// transactions that hold a dirty transaction, searching only what the roots
+// reach: a component's members all reach each other, so one holding a root
+// is found whole. The Tarjan walk is iterative, so long dependency chains
+// cannot overflow the goroutine stack, and keeps its per-node state on
+// txInfo under a fresh epoch.
+func (g *Graph) sccs(roots []uint64) [][]uint64 {
+	g.epoch++
+	epoch := g.epoch
+	next := 0
+	stack, frames := g.stack[:0], g.frames[:0]
+	var comps [][]uint64
+	push := func(t *txInfo) {
+		t.visit, t.index, t.low, t.onStack = epoch, next, next, true
 		next++
-		stack = append(stack, start)
-		onStack[start] = true
+		stack = append(stack, t)
+		frames = append(frames, tarjanFrame{t: t})
+	}
+	for _, id := range roots {
+		if r := g.txs[id]; r != nil && r.visit != epoch {
+			push(r)
+		}
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			edges := adj[f.node]
-			if f.ei < len(edges) {
-				to := edges[f.ei].to
+			if f.ei < len(f.t.out) {
+				to := g.txs[f.t.out[f.ei].to]
 				f.ei++
-				if _, seen := index[to]; !seen {
-					index[to] = next
-					low[to] = next
-					next++
-					stack = append(stack, to)
-					onStack[to] = true
-					frames = append(frames, frame{node: to})
-				} else if onStack[to] && index[to] < low[f.node] {
-					low[f.node] = index[to]
+				if to.visit != epoch {
+					push(to)
+				} else if to.onStack && to.index < f.t.low {
+					f.t.low = to.index
 				}
 				continue
 			}
 			// Node finished: pop, propagate lowlink, maybe emit component.
-			n := f.node
+			n := f.t
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				p := frames[len(frames)-1].node
-				if low[n] < low[p] {
-					low[p] = low[n]
+				if p := frames[len(frames)-1].t; n.low < p.low {
+					p.low = n.low
 				}
 			}
-			if low[n] == index[n] {
-				var comp []uint64
-				for {
-					m := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[m] = false
-					comp = append(comp, m)
-					if m == n {
-						break
-					}
+			if n.low != n.index {
+				continue
+			}
+			i := len(stack) - 1
+			for stack[i] != n {
+				i--
+			}
+			members, dirty := stack[i:], false
+			for _, m := range members {
+				m.onStack = false
+				dirty = dirty || m.dirty
+			}
+			if len(members) > 1 && dirty {
+				comp := make([]uint64, len(members))
+				for j, m := range members {
+					comp[j] = m.id
 				}
 				comps = append(comps, comp)
 			}
+			clear(members)
+			stack = stack[:i]
 		}
 	}
+	g.stack, g.frames = stack[:0], frames[:0]
 	return comps
 }
