@@ -2,8 +2,9 @@ GO ?= go
 BENCH ?= BENCH_3.json
 BENCH_COMMIT ?= BENCH_6.json
 BENCH_LIVECHECK ?= BENCH_9.json
+BENCH_SCAN ?= BENCH_scan.txt
 
-.PHONY: check test bench bench-commit bench-livecheck chaos obs-smoke livecheck-smoke histcheck hunt-regress hunt-smoke overload-smoke fuzz-smoke lint profile profile-mutex clean
+.PHONY: check test bench bench-commit bench-livecheck bench-scan chaos obs-smoke livecheck-smoke histcheck hunt-regress hunt-smoke overload-smoke fuzz-smoke lint profile profile-mutex clean
 
 # check is the full gate: compile, vet, and the whole test suite under the
 # race detector (the plan cache, wire server, and WAL are concurrency-critical).
@@ -140,9 +141,20 @@ bench-commit:
 bench-livecheck:
 	$(GO) test -bench BenchmarkLiveCheckOverhead -run '^$$' -benchtime=1s -timeout 30m -json . > $(BENCH_LIVECHECK)
 
+# bench-scan records the read path a feral validation pays for: the
+# uniqueness probe by full scan at 200 and 2,000 rows and through an index
+# (BenchmarkAblationIndex), a validated ORM create on a growing table
+# (BenchmarkORMValidatedCreate), and the insert-commit write path beside them
+# (BenchmarkStorageInsertCommit). Plain -benchmem text, five runs each, so two
+# checkouts' files compare line by line (allocs/op must match exactly; ns/op
+# only between runs on one host).
+bench-scan:
+	$(GO) test -bench 'BenchmarkAblationIndex|BenchmarkORMValidatedCreate|BenchmarkStorageInsertCommit' \
+		-benchmem -count 5 -run '^$$' -timeout 30m . > $(BENCH_SCAN)
+
 # clean removes every cmd/ binary built into the repo root plus any data
 # directories left behind by local durable runs (feraldbd -data-dir,
 # feralbench -data-dir).
 clean:
-	rm -f feralbench feraldbd feralsql feralcheck corpusgen railsscan
+	rm -f feralbench feraldbd feralsql feralcheck corpusgen railsscan BENCH_scan*.txt
 	rm -rf data chaos-data bench-data profiles witnesses

@@ -309,39 +309,40 @@ func BenchmarkAblationPredicateGranularity(b *testing.B) {
 
 // --- Ablation 4: index presence on the validation probe ------------------------
 
+// BenchmarkAblationIndex probes one key of a table, as a feral uniqueness
+// validation does: by full scan at two table sizes (the scan's allocations
+// must not grow with the table), and through an index.
 func BenchmarkAblationIndex(b *testing.B) {
-	for _, indexed := range []bool{false, true} {
-		name := "full-scan-probe"
-		if indexed {
-			name = "indexed-probe"
+	probe := func(b *testing.B, rows int, indexed bool) {
+		d := db.Open(storage.Options{})
+		if err := d.ExecScript("CREATE TABLE kv (id BIGINT PRIMARY KEY, key TEXT)"); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			d := db.Open(storage.Options{})
-			if err := d.ExecScript("CREATE TABLE kv (id BIGINT PRIMARY KEY, key TEXT)"); err != nil {
+		conn := d.Connect()
+		defer conn.Close()
+		for i := 0; i < rows; i++ {
+			if _, err := conn.Exec("INSERT INTO kv (key) VALUES (?)",
+				storage.Str(fmt.Sprintf("k%d", i))); err != nil {
 				b.Fatal(err)
 			}
-			conn := d.Connect()
-			defer conn.Close()
-			for i := 0; i < 2000; i++ {
-				if _, err := conn.Exec("INSERT INTO kv (key) VALUES (?)",
-					storage.Str(fmt.Sprintf("k%d", i))); err != nil {
-					b.Fatal(err)
-				}
+		}
+		if indexed {
+			if _, err := conn.Exec("CREATE INDEX ON kv (key)"); err != nil {
+				b.Fatal(err)
 			}
-			if indexed {
-				if _, err := conn.Exec("CREATE INDEX ON kv (key)"); err != nil {
-					b.Fatal(err)
-				}
+		}
+		key := storage.Str(fmt.Sprintf("k%d", rows/2))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := conn.Exec("SELECT 1 FROM kv WHERE key = ? LIMIT 1", key); err != nil {
+				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := conn.Exec("SELECT 1 FROM kv WHERE key = ? LIMIT 1",
-					storage.Str("k1000")); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
 	}
+	for _, rows := range []int{200, 2000} {
+		b.Run(fmt.Sprintf("full-scan-probe/rows=%d", rows), func(b *testing.B) { probe(b, rows, false) })
+	}
+	b.Run("indexed-probe", func(b *testing.B) { probe(b, 2000, true) })
 }
 
 // --- Ablation 5: embedded vs wire-protocol connection ---------------------------

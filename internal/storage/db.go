@@ -317,11 +317,11 @@ func (db *Database) AddIndex(tableName, column string, unique bool) error {
 	spec := IndexSpec{Column: t.schema.Columns[pos].Name, Unique: unique,
 		Name: tableName + "_" + column + "_idx"}
 	ix := newIndex(spec)
-	for id, chain := range t.rows {
+	t.eachChain(func(id RowID, chain *versionChain) {
 		for _, v := range chain.versions {
 			ix.add(v.vals[pos].Key(), id)
 		}
-	}
+	})
 	t.indexes[strings.ToLower(column)] = ix
 	t.schema.Indexes = append(t.schema.Indexes, spec)
 	db.bumpSchemaEpoch()
@@ -334,24 +334,52 @@ func (db *Database) AddIndex(tableName, column string, unique bool) error {
 // checkExistingUniqueLocked verifies live rows have no duplicate values in
 // column pos. Caller holds the exclusive pipeline gate and t.mu.
 func (db *Database) checkExistingUniqueLocked(t *table, pos int) error {
-	seen := make(map[string]RowID)
-	for id, chain := range t.rows {
-		v := chain.latest()
-		if v == nil || v.endTS != 0 {
-			continue
-		}
-		val := v.vals[pos]
-		if val.IsNull() {
-			continue
-		}
-		key := val.Key()
-		if other, dup := seen[key]; dup && other != id {
-			return fmt.Errorf("%w: column %s has existing duplicate value %s",
-				ErrUniqueViolation, t.schema.Columns[pos].Name, val.Format())
-		}
-		seen[key] = id
+	if dup := duplicateLive(t, pos); dup != nil {
+		return fmt.Errorf("%w: column %s has existing duplicate value %s",
+			ErrUniqueViolation, t.schema.Columns[pos].Name, dup.Format())
 	}
 	return nil
+}
+
+// duplicateLive returns the first non-NULL value in column pos that two live
+// rows share, or nil. Caller holds t.mu.
+func duplicateLive(t *table, pos int) *Value {
+	var dup *Value
+	seen := make(map[string]struct{})
+	t.eachLive(func(_ RowID, v *version) {
+		if val := v.vals[pos]; !val.IsNull() && dup == nil {
+			if _, ok := seen[val.Key()]; ok {
+				dup = &val
+			}
+			seen[val.Key()] = struct{}{}
+		}
+	})
+	return dup
+}
+
+// liveKeys returns the index keys of column pos across t's live rows.
+func liveKeys(t *table, pos int) map[string]struct{} {
+	keys := make(map[string]struct{})
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.eachLive(func(_ RowID, v *version) { keys[v.vals[pos].Key()] = struct{}{} })
+	return keys
+}
+
+// firstOrphan returns the first non-NULL value in column pos of a live row of
+// t whose key is not in parentKeys, or nil.
+func firstOrphan(t *table, pos int, parentKeys map[string]struct{}) *Value {
+	var orphan *Value
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.eachLive(func(_ RowID, v *version) {
+		if ref := v.vals[pos]; !ref.IsNull() && orphan == nil {
+			if _, ok := parentKeys[ref.Key()]; !ok {
+				orphan = &ref
+			}
+		}
+	})
+	return orphan
 }
 
 // AddForeignKey adds an in-database referential constraint to an existing
@@ -385,27 +413,10 @@ func (db *Database) AddForeignKey(tableName, column, parentTable string, onDelet
 	pkPos := parent.schema.ColumnIndex(pkCol)
 
 	// Validate existing rows against the live parent set.
-	parentKeys := make(map[string]struct{})
-	parent.mu.RLock()
-	for _, chain := range parent.rows {
-		if v := chain.latest(); v != nil && v.endTS == 0 {
-			parentKeys[v.vals[pkPos].Key()] = struct{}{}
-		}
+	if orphan := firstOrphan(child, pos, liveKeys(parent, pkPos)); orphan != nil {
+		return fmt.Errorf("%w: existing %s.%s = %s has no parent in %s",
+			ErrForeignKeyViolation, tableName, column, orphan.Format(), parentTable)
 	}
-	parent.mu.RUnlock()
-	child.mu.RLock()
-	for _, chain := range child.rows {
-		v := chain.latest()
-		if v == nil || v.endTS != 0 || v.vals[pos].IsNull() {
-			continue
-		}
-		if _, ok := parentKeys[v.vals[pos].Key()]; !ok {
-			child.mu.RUnlock()
-			return fmt.Errorf("%w: existing %s.%s = %s has no parent in %s",
-				ErrForeignKeyViolation, tableName, column, v.vals[pos].Format(), parentTable)
-		}
-	}
-	child.mu.RUnlock()
 
 	if err := db.walAppend(encodeAddForeignKey(tableName, column, parentTable, onDelete)); err != nil {
 		return err

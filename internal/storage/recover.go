@@ -221,6 +221,9 @@ func (db *Database) replayCommit(d *walDecoder) error {
 			if t == nil {
 				continue // table dropped by a later record's era; nothing to install
 			}
+			if id > maxRowID {
+				return fmt.Errorf("storage: wal commit record: row id %d out of range", id)
+			}
 			switch op {
 			case walOpInsert:
 				t.installInsert(id, vals, commitTS)
@@ -269,20 +272,10 @@ func (db *Database) CheckIntegrity() error {
 			if pos < 0 {
 				continue
 			}
-			seen := make(map[string]RowID)
-			for id, chain := range t.rows {
-				v := chain.latest()
-				if v == nil || v.endTS != 0 || v.vals[pos].IsNull() {
-					continue
-				}
-				key := v.vals[pos].Key()
-				if other, dup := seen[key]; dup && other != id {
-					t.mu.RUnlock()
-					return fmt.Errorf("%w: %s.%s duplicate value %s",
-						ErrUniqueViolation, t.schema.Name, t.schema.Columns[pos].Name,
-						v.vals[pos].Format())
-				}
-				seen[key] = id
+			if dup := duplicateLive(t, pos); dup != nil {
+				t.mu.RUnlock()
+				return fmt.Errorf("%w: %s.%s duplicate value %s",
+					ErrUniqueViolation, t.schema.Name, t.schema.Columns[pos].Name, dup.Format())
 			}
 		}
 		t.mu.RUnlock()
@@ -296,14 +289,7 @@ func (db *Database) CheckIntegrity() error {
 		if pkPos < 0 {
 			continue
 		}
-		parentKeys := make(map[string]struct{})
-		parent.mu.RLock()
-		for _, chain := range parent.rows {
-			if v := chain.latest(); v != nil && v.endTS == 0 {
-				parentKeys[v.vals[pkPos].Key()] = struct{}{}
-			}
-		}
-		parent.mu.RUnlock()
+		parentKeys := liveKeys(parent, pkPos)
 		for _, e := range edges {
 			child := db.tables[e.childTable]
 			if child == nil {
@@ -313,20 +299,11 @@ func (db *Database) CheckIntegrity() error {
 			if pos < 0 {
 				continue
 			}
-			child.mu.RLock()
-			for _, chain := range child.rows {
-				v := chain.latest()
-				if v == nil || v.endTS != 0 || v.vals[pos].IsNull() {
-					continue
-				}
-				if _, ok := parentKeys[v.vals[pos].Key()]; !ok {
-					child.mu.RUnlock()
-					return fmt.Errorf("%w: %s.%s = %s has no parent in %s",
-						ErrForeignKeyViolation, child.schema.Name, e.fk.Column,
-						v.vals[pos].Format(), parent.schema.Name)
-				}
+			if orphan := firstOrphan(child, pos, parentKeys); orphan != nil {
+				return fmt.Errorf("%w: %s.%s = %s has no parent in %s",
+					ErrForeignKeyViolation, child.schema.Name, e.fk.Column,
+					orphan.Format(), parent.schema.Name)
 			}
-			child.mu.RUnlock()
 		}
 	}
 	return nil

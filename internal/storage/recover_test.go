@@ -174,6 +174,26 @@ func TestRecoveryRowAndIDAllocatorsAdvance(t *testing.T) {
 	}
 }
 
+// TestRecoveryRejectsOutOfRangeRowID pins that a log record naming a row id
+// past maxRowID is treated as a corrupt tail instead of sizing the dense row
+// store to it.
+func TestRecoveryRejectsOutOfRangeRowID(t *testing.T) {
+	dir := t.TempDir()
+	db := durableDB(t, dir, Options{})
+	mustCreate(t, db, kvSchema("kv"))
+	forged := map[string]map[RowID]*txWrite{"kv": {maxRowID + 1: {op: opInsert, vals: []Value{Int(1), Str("k"), Str("v")}}}}
+	if err := db.wal.append(encodeCommit(forged, db.Clock()+1), nil); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	re := durableDB(t, dir, Options{})
+	defer re.Close()
+	tbl, _ := re.lookupTable("kv")
+	if !re.Recovery().CorruptTail || len(tbl.chunks) != 0 {
+		t.Fatalf("forged row id: recovery %+v, %d chunks; want a corrupt tail and no rows", re.Recovery(), len(tbl.chunks))
+	}
+}
+
 func TestCheckpointTruncatesAndRestores(t *testing.T) {
 	dir := t.TempDir()
 	db := durableDB(t, dir, Options{})

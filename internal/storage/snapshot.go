@@ -67,23 +67,18 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 		payload = appendSchema(payload, t.schema)
 		payload = binary.AppendUvarint(payload, t.nextRow)
 		payload = binary.AppendUvarint(payload, t.nextID)
-		ids := make([]RowID, 0, len(t.rows))
-		for id, chain := range t.rows {
-			if v := chain.latest(); v != nil && v.endTS == 0 {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		payload = binary.AppendUvarint(payload, uint64(len(ids)))
-		for _, id := range ids {
-			v := t.rows[id].latest()
-			payload = binary.AppendUvarint(payload, uint64(id))
-			payload = binary.AppendUvarint(payload, v.beginTS)
-			payload = appendWALRow(payload, v.vals)
-		}
+		live := 0
+		var rows []byte
+		t.eachLive(func(id RowID, v *version) {
+			live++
+			rows = binary.AppendUvarint(rows, uint64(id))
+			rows = binary.AppendUvarint(rows, v.beginTS)
+			rows = appendWALRow(rows, v.vals)
+		})
+		payload = append(binary.AppendUvarint(payload, uint64(live)), rows...)
 		t.mu.RUnlock()
 		stats.Tables++
-		stats.Rows += len(ids)
+		stats.Rows += live
 	}
 
 	framed := make([]byte, walHeaderSize+len(payload))
@@ -195,6 +190,9 @@ func (db *Database) loadSnapshot(raw []byte) (clock uint64, rows int, err error)
 			vals := d.row()
 			if d.err != nil {
 				break
+			}
+			if id > maxRowID {
+				return 0, 0, fmt.Errorf("storage: snapshot: row id %d out of range", id)
 			}
 			t.installInsert(id, vals, beginTS)
 			rows++

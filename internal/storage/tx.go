@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -29,7 +30,7 @@ const (
 type txWrite struct {
 	op     writeOp
 	vals   []Value
-	old    []Value // prior committed image (update/delete); nil for insert
+	old    []Value // shared, read-only prior committed image (update/delete); nil for insert
 	baseTS uint64
 	seq    int // execution order, to keep installs deterministic
 }
@@ -389,8 +390,8 @@ func (tx *Tx) Update(tableName string, id RowID, changes map[string]Value) error
 	if err := tx.lock(rowLockKey(lower, id), LockX); err != nil {
 		return err
 	}
-	old, live := t.latestCommitted(id)
-	if old == nil || !live {
+	old, baseTS := t.version(id, latestTS)
+	if old == nil {
 		return fmt.Errorf("%w: %s row %d", ErrNoSuchRow, s.Name, id)
 	}
 	if err := applyChanges(old); err != nil {
@@ -401,14 +402,6 @@ func (tx *Tx) Update(tableName string, id RowID, changes map[string]Value) error
 			return err
 		}
 	}
-	var baseTS uint64
-	t.mu.RLock()
-	if c := t.chain(id); c != nil {
-		if v := c.latest(); v != nil {
-			baseTS = v.beginTS
-		}
-	}
-	t.mu.RUnlock()
 	tx.seq++
 	tx.tableWrites(lower)[id] = &txWrite{op: opUpdate, vals: newImage, old: old, baseTS: baseTS, seq: tx.seq}
 	return nil
@@ -445,8 +438,8 @@ func (tx *Tx) Delete(tableName string, id RowID) error {
 	if err := tx.lock(rowLockKey(lower, id), LockX); err != nil {
 		return err
 	}
-	old, live := t.latestCommitted(id)
-	if old == nil || !live {
+	old, baseTS := t.version(id, latestTS)
+	if old == nil {
 		return fmt.Errorf("%w: %s row %d", ErrNoSuchRow, t.schema.Name, id)
 	}
 	if tx.level.locking() {
@@ -454,14 +447,6 @@ func (tx *Tx) Delete(tableName string, id RowID) error {
 			return err
 		}
 	}
-	var baseTS uint64
-	t.mu.RLock()
-	if c := t.chain(id); c != nil {
-		if v := c.latest(); v != nil {
-			baseTS = v.beginTS
-		}
-	}
-	t.mu.RUnlock()
 	tx.seq++
 	tx.tableWrites(lower)[id] = &txWrite{op: opDelete, old: old, baseTS: baseTS, seq: tx.seq}
 	return nil
@@ -531,13 +516,14 @@ func (tx *Tx) Scan(tableName string, opts ScanOptions, fn func(RowID, []Value) b
 	lower := strings.ToLower(s.Name)
 
 	filterPos := -1
+	var filterVal Value
 	var filterKey string
 	if opts.Filter != nil {
 		filterPos = s.ColumnIndex(opts.Filter.Column)
 		if filterPos < 0 {
 			return fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Name, opts.Filter.Column)
 		}
-		filterKey = opts.Filter.Value.Key()
+		filterVal, filterKey = opts.Filter.Value, opts.Filter.Value.Key()
 	}
 
 	// Predicate footprint: record for certification, and lock under 2PL.
@@ -570,99 +556,52 @@ func (tx *Tx) Scan(tableName string, opts ScanOptions, fn func(RowID, []Value) b
 		}
 	}
 
-	var candidates []RowID
-	if filterPos >= 0 {
-		candidates, _ = t.candidateRows(s.Columns[filterPos].Name, filterKey)
-	} else {
-		candidates = t.allRows()
-	}
-
-	ts := tx.readTS()
 	writes := tx.writes[lower]
-	matches := func(vals []Value) bool {
-		if filterPos < 0 {
-			return true
-		}
-		v := vals[filterPos]
-		if v.IsNull() || opts.Filter.Value.IsNull() {
-			return false // SQL semantics: NULL = x is not true
-		}
-		return Equal(v, opts.Filter.Value)
-	}
-
-	emit := func(id RowID, vals []Value, observed uint64, own bool) (bool, error) {
+	cur := t.cursor(filterPos, filterVal, filterKey, tx.readTS(), writes)
+	var scanErr error
+	// emit runs with no table lock held: it may take row locks, and it calls
+	// fn, which gets a copy of the shared or buffered image. false stops the
+	// scan.
+	emit := func(id RowID, vals []Value, observed uint64, own bool) bool {
 		if opts.ForUpdate {
-			if err := tx.lock(rowLockKey(lower, id), LockX); err != nil {
-				return false, err
+			if scanErr = tx.lock(rowLockKey(lower, id), LockX); scanErr != nil {
+				return false
 			}
 			// Re-read the latest committed image now that the row is locked:
 			// a concurrent writer may have committed while we waited. Rows
 			// written by this transaction keep their buffered image.
 			if _, ours := writes[id]; !ours {
-				latest, ver, live := t.latestCommittedVersion(id)
-				if latest == nil || !live || !matches(latest) {
-					return true, nil
+				vals, observed = t.version(id, latestTS)
+				if vals == nil || !cur.matches(vals) {
+					return true
 				}
-				vals, observed = latest, ver
 			}
 		}
 		tx.noteRowRead(lower, id)
 		if tx.level.locking() && !opts.ForUpdate {
-			if err := tx.lock(rowLockKey(lower, id), LockS); err != nil {
-				return false, err
+			if scanErr = tx.lock(rowLockKey(lower, id), LockS); scanErr != nil {
+				return false
 			}
 		}
 		tx.histRead(lower, id, observed, own)
-		cp := make([]Value, len(vals))
-		copy(cp, vals)
-		return fn(id, cp), nil
+		return fn(id, slices.Clone(vals))
 	}
-
-	seen := make(map[RowID]struct{}, len(candidates))
-	for _, id := range candidates {
-		seen[id] = struct{}{}
-		var vals []Value
-		var observed uint64
-		own := false
-		if w, ok := writes[id]; ok {
-			if w.op == opDelete {
-				continue
-			}
-			vals, own = w.vals, true
-		} else {
-			vals, observed = t.readVisibleVersion(id, ts)
-			if vals == nil {
-				continue
-			}
+	if !cur.each(func(h rowHit) bool {
+		if w := h.own; w != nil {
+			return w.op == opDelete || !cur.matches(w.vals) || emit(h.id, w.vals, 0, true)
 		}
-		if !matches(vals) {
-			continue
-		}
-		cont, err := emit(id, vals, observed, own)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
+		return emit(h.id, h.vals, h.beginTS, false)
+	}) {
+		return scanErr
 	}
-	// Own inserts/updates the index-based candidate set cannot know about.
+	// Own inserts, and own updates into an indexed key, that the candidate
+	// set cannot know about.
 	for id, w := range writes {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		if w.op == opDelete || w.vals == nil || !matches(w.vals) {
-			continue
-		}
-		cont, err := emit(id, w.vals, 0, true)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
+		if w.op != opDelete && w.vals != nil && cur.matches(w.vals) && !cur.covered(id) && !emit(id, w.vals, 0, true) {
+			break
 		}
 	}
-	return nil
+	return scanErr
 }
 
 // Get returns the row with the given RowID as visible to the transaction,
@@ -681,11 +620,9 @@ func (tx *Tx) Get(tableName string, id RowID) ([]Value, error) {
 		if w.op == opDelete {
 			return nil, nil
 		}
-		out := make([]Value, len(w.vals))
-		copy(out, w.vals)
 		tx.noteRowRead(lower, id)
 		tx.histRead(lower, id, 0, true)
-		return out, nil
+		return slices.Clone(w.vals), nil
 	}
 	// Point reads lock under 2PL exactly as scans do (Scan takes LockS per
 	// visited row): without this, a Get-then-Update read-modify-write slips
@@ -697,12 +634,12 @@ func (tx *Tx) Get(tableName string, id RowID) ([]Value, error) {
 			return nil, err
 		}
 	}
-	vals, observed := t.readVisibleVersion(id, tx.readTS())
+	vals, observed := t.version(id, tx.readTS())
 	if vals != nil {
 		tx.noteRowRead(lower, id)
 	}
 	tx.histRead(lower, id, observed, false)
-	return vals, nil
+	return slices.Clone(vals), nil
 }
 
 // Rollback abandons the transaction. Safe to call after Commit (no-op).
@@ -1126,14 +1063,12 @@ func (tx *Tx) expandCascades() error {
 		if pkCol == "" {
 			continue
 		}
-		var pkVal Value
-		if w := tx.writes[item.table][item.id]; w != nil && w.old != nil {
-			pkVal = w.old[parent.schema.ColumnIndex(pkCol)]
-		} else if vals, _ := parent.latestCommitted(item.id); vals != nil {
-			pkVal = vals[parent.schema.ColumnIndex(pkCol)]
-		} else {
+		// Every buffered delete carries the image it removes.
+		w := tx.writes[item.table][item.id]
+		if w == nil || w.old == nil {
 			continue
 		}
+		pkVal := w.old[parent.schema.ColumnIndex(pkCol)]
 		for _, e := range edges {
 			child, err := db.lookupTable(e.childTable)
 			if err != nil {
@@ -1143,61 +1078,46 @@ func (tx *Tx) expandCascades() error {
 			if fkPos < 0 {
 				return fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, e.childTable, e.fk.Column)
 			}
-			tx.noteProbe(e.childTable, strings.ToLower(child.schema.Columns[fkPos].Name), pkVal.Key())
-			candidates, _ := child.candidateRows(e.fk.Column, pkVal.Key())
+			key := pkVal.Key()
+			tx.noteProbe(e.childTable, strings.ToLower(child.schema.Columns[fkPos].Name), key)
+			// Rows this transaction already wrote need no action: its deletes
+			// are done, and rows it inserted/updated to reference the dying
+			// parent are handled by the FK existence check afterward.
 			childWrites := tx.tableWrites(e.childTable)
-			for _, cid := range candidates {
-				if w, ok := childWrites[cid]; ok {
-					// Rows this transaction already deleted need no action;
-					// rows it inserted/updated to reference the dying parent
-					// are handled by the FK existence check afterward.
-					_ = w
-					continue
-				}
-				vals, live := child.latestCommitted(cid)
-				if vals == nil || !live || !Equal(vals[fkPos], pkVal) {
-					continue
+			cur := child.cursor(fkPos, pkVal, key, latestTS, childWrites)
+			var cascadeErr error
+			cur.each(func(h rowHit) bool {
+				if h.own != nil {
+					return true
 				}
 				switch e.fk.OnDelete {
 				case Cascade:
-					var baseTS uint64
-					child.mu.RLock()
-					if c := child.chain(cid); c != nil {
-						if v := c.latest(); v != nil {
-							baseTS = v.beginTS
-						}
-					}
-					child.mu.RUnlock()
 					tx.seq++
-					childWrites[cid] = &txWrite{op: opDelete, old: vals, baseTS: baseTS, seq: tx.seq}
+					childWrites[h.id] = &txWrite{op: opDelete, old: h.vals, baseTS: h.beginTS, seq: tx.seq}
 					work = append(work, struct {
 						table string
 						id    RowID
-					}{e.childTable, cid})
+					}{e.childTable, h.id})
 				case SetNull:
 					if child.schema.Columns[fkPos].NotNull {
-						anomalywatch.ObserveInvariant(anomalywatch.TierStorage, anomalywatch.InvForeignKey, true)
-						return fmt.Errorf("%w: ON DELETE SET NULL into NOT NULL column %s.%s",
+						cascadeErr = fmt.Errorf("%w: ON DELETE SET NULL into NOT NULL column %s.%s",
 							ErrForeignKeyViolation, e.childTable, e.fk.Column)
+						return false
 					}
-					newVals := make([]Value, len(vals))
-					copy(newVals, vals)
+					newVals := slices.Clone(h.vals)
 					newVals[fkPos] = Null()
-					var baseTS uint64
-					child.mu.RLock()
-					if c := child.chain(cid); c != nil {
-						if v := c.latest(); v != nil {
-							baseTS = v.beginTS
-						}
-					}
-					child.mu.RUnlock()
 					tx.seq++
-					childWrites[cid] = &txWrite{op: opUpdate, vals: newVals, old: vals, baseTS: baseTS, seq: tx.seq}
+					childWrites[h.id] = &txWrite{op: opUpdate, vals: newVals, old: h.vals, baseTS: h.beginTS, seq: tx.seq}
 				default: // NoAction
-					anomalywatch.ObserveInvariant(anomalywatch.TierStorage, anomalywatch.InvForeignKey, true)
-					return fmt.Errorf("%w: %s row referenced by %s.%s",
+					cascadeErr = fmt.Errorf("%w: %s row referenced by %s.%s",
 						ErrForeignKeyViolation, item.table, e.childTable, e.fk.Column)
+					return false
 				}
+				return true
+			})
+			if cascadeErr != nil {
+				anomalywatch.ObserveInvariant(anomalywatch.TierStorage, anomalywatch.InvForeignKey, true)
+				return cascadeErr
 			}
 		}
 	}
@@ -1258,25 +1178,16 @@ func (tx *Tx) checkUniqueConstraints() error {
 				newKeys[key] = id
 
 				tx.noteProbe(lower, strings.ToLower(s.Columns[pos].Name), key)
-				candidates, _ := t.candidateRows(spec.Column, key)
-				for _, cid := range candidates {
-					if cid == id {
-						continue
-					}
-					if cw, ok := rows[cid]; ok {
-						if cw.op == opDelete {
-							continue // being deleted by us
-						}
-						continue // already counted via newKeys
-					}
-					vals, live := t.latestCommitted(cid)
-					if vals == nil || !live {
-						continue
-					}
-					if Equal(vals[pos], v) {
-						return fmt.Errorf("%w: %s.%s = %s already exists",
-							ErrUniqueViolation, s.Name, spec.Column, v.Format())
-					}
+				// Own-write hits are covered by newKeys (or being deleted).
+				dup := false
+				cur := t.cursor(pos, v, key, latestTS, rows)
+				cur.each(func(h rowHit) bool {
+					dup = h.own == nil
+					return !dup
+				})
+				if dup {
+					return fmt.Errorf("%w: %s.%s = %s already exists",
+						ErrUniqueViolation, s.Name, spec.Column, v.Format())
 				}
 			}
 		}
@@ -1345,18 +1256,18 @@ func (tx *Tx) checkFKConstraints() error {
 // exists, accounting for this transaction's own inserts and deletes.
 func (tx *Tx) parentExists(parent *table, parentLower string, pkPos int, ref Value) bool {
 	parentWrites := tx.writes[parentLower]
-	candidates, _ := parent.candidateRows(parent.schema.Columns[pkPos].Name, ref.Key())
-	for _, pid := range candidates {
-		if w, ok := parentWrites[pid]; ok {
-			if w.op != opDelete && w.vals != nil && Equal(w.vals[pkPos], ref) {
-				return true
-			}
-			continue
+	found := false
+	cur := parent.cursor(pkPos, ref, ref.Key(), latestTS, parentWrites)
+	cur.each(func(h rowHit) bool {
+		if w := h.own; w != nil {
+			found = w.op != opDelete && w.vals != nil && Equal(w.vals[pkPos], ref)
+		} else {
+			found = true
 		}
-		vals, live := parent.latestCommitted(pid)
-		if vals != nil && live && Equal(vals[pkPos], ref) {
-			return true
-		}
+		return !found
+	})
+	if found {
+		return true
 	}
 	// Own inserts may not be index-visible; scan the write buffer too.
 	for _, w := range parentWrites {

@@ -44,7 +44,7 @@ func (db *Database) Vacuum() VacuumStats {
 
 	for _, t := range tables {
 		t.mu.Lock()
-		for id, chain := range t.rows {
+		t.eachChain(func(id RowID, chain *versionChain) {
 			kept := chain.versions[:0]
 			for _, v := range chain.versions {
 				dead := v.endTS != 0 && v.endTS <= horizon
@@ -56,10 +56,10 @@ func (db *Database) Vacuum() VacuumStats {
 			}
 			chain.versions = append([]*version(nil), kept...)
 			if len(chain.versions) == 0 {
-				delete(t.rows, id)
+				t.setChain(id, nil)
 				stats.RowsReclaimed++
 			}
-		}
+		})
 		// Rebuild indexes from the surviving versions.
 		for col, ix := range t.indexes {
 			pos := t.schema.ColumnIndex(col)
@@ -68,11 +68,11 @@ func (db *Database) Vacuum() VacuumStats {
 			}
 			fresh := newIndex(ix.spec)
 			entries := 0
-			for id, chain := range t.rows {
+			t.eachChain(func(id RowID, chain *versionChain) {
 				for _, v := range chain.versions {
 					fresh.add(v.vals[pos].Key(), id)
 				}
-			}
+			})
 			for _, bucket := range fresh.buckets {
 				entries += len(bucket)
 			}
@@ -111,9 +111,7 @@ func (db *Database) VersionCount() int {
 	total := 0
 	for _, t := range db.tables {
 		t.mu.RLock()
-		for _, chain := range t.rows {
-			total += len(chain.versions)
-		}
+		t.eachChain(func(_ RowID, chain *versionChain) { total += len(chain.versions) })
 		t.mu.RUnlock()
 	}
 	return total
