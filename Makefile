@@ -63,14 +63,20 @@ overload-smoke:
 	$(GO) test -count=1 -run 'TestMaxConns|TestAdmission|TestShedVerdict|TestWireConnOverloadSuite' ./internal/wire
 	$(GO) run ./cmd/feralbench -experiment overload -quick -metrics=false
 
-# fuzz-smoke runs the native fuzz target of the history decoder for a short
-# budget, starting from its checked-in seed corpus (the testdata/hunt
-# witnesses, under internal/histcheck/testdata/fuzz/FuzzReadJSONL): ReadJSONL
-# must not panic, a decoded history must round-trip through WriteJSONL, and
-# Check and AlmostCycles must not panic on it. feralcheck and /anomalies
-# replays feed untrusted JSONL straight into the dependency graph.
+# fuzz-smoke runs the native fuzz targets of the untrusted-input decoders for
+# a short budget each, starting from their checked-in seed corpora. The
+# history decoder (the testdata/hunt witnesses, under
+# internal/histcheck/testdata/fuzz/FuzzReadJSONL): ReadJSONL must not panic,
+# a decoded history must round-trip through WriteJSONL, and Check and
+# AlmostCycles must not panic on it — feralcheck and /anomalies replays feed
+# untrusted JSONL straight into the dependency graph. The wire request and
+# response decoders (one frame body per message type, under
+# internal/wire/testdata/fuzz): decoding must not panic and a decoded message
+# must re-encode to a body that round-trips. go test fuzzes one target per run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadJSONL -fuzztime=10s ./internal/histcheck
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=10s ./internal/wire
 
 # lint runs go vet always and staticcheck when the binary is present (the CI
 # lint job installs it; locally the target degrades to vet alone).
@@ -144,13 +150,18 @@ bench-livecheck:
 # bench-scan records the read path a feral validation pays for: the
 # uniqueness probe by full scan at 200 and 2,000 rows and through an index
 # (BenchmarkAblationIndex), a validated ORM create on a growing table
-# (BenchmarkORMValidatedCreate), and the insert-commit write path beside them
-# (BenchmarkStorageInsertCommit). Plain -benchmem text, five runs each, so two
-# checkouts' files compare line by line (allocs/op must match exactly; ns/op
-# only between runs on one host).
+# (BenchmarkORMValidatedCreate), the insert-commit write path beside them
+# (BenchmarkStorageInsertCommit), and one wire transaction — BEGIN, prepared
+# SELECT, COMMIT — with its BEGIN pipelined (BenchmarkAblationWire/tcp-tx,
+# run separately because a sub-benchmark pattern applies to every top-level
+# match). Plain -benchmem text, five runs each, so two checkouts' files
+# compare line by line (allocs/op must match exactly; ns/op only between runs
+# on one host).
 bench-scan:
 	$(GO) test -bench 'BenchmarkAblationIndex|BenchmarkORMValidatedCreate|BenchmarkStorageInsertCommit' \
 		-benchmem -count 5 -run '^$$' -timeout 30m . > $(BENCH_SCAN)
+	$(GO) test -bench 'BenchmarkAblationWire/tcp-tx' \
+		-benchmem -count 5 -run '^$$' -timeout 30m . >> $(BENCH_SCAN)
 
 # clean removes every cmd/ binary built into the repo root plus any data
 # directories left behind by local durable runs (feraldbd -data-dir,

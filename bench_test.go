@@ -413,6 +413,30 @@ func BenchmarkAblationWire(b *testing.B) {
 			}
 		}
 	})
+	// One prepared transaction per op: BEGIN, SELECT, COMMIT. The client
+	// pipelines the BEGIN onto the SELECT, so an op is two round trips.
+	b.Run("tcp-tx", func(b *testing.B) {
+		client, err := wire.Dial(srv.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer client.Close()
+		var stmts [3]db.Stmt
+		for i, sql := range []string{"BEGIN", "SELECT COUNT(*) FROM kv", "COMMIT"} {
+			if stmts[i], err = client.Prepare(sql); err != nil {
+				b.Fatal(err)
+			}
+			defer stmts[i].Close()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, st := range stmts {
+				if _, err := st.Exec(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // --- The prepare/execute seam: what does skipping the parser buy? ---------------

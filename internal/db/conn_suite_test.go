@@ -6,6 +6,7 @@ import (
 
 	"feralcc/internal/db"
 	"feralcc/internal/db/conntest"
+	"feralcc/internal/faultinject"
 	"feralcc/internal/histcheck"
 	"feralcc/internal/storage"
 )
@@ -40,5 +41,24 @@ func TestEmbeddedConnOverloadSuite(t *testing.T) {
 		d := db.Open(opts)
 		t.Cleanup(func() { d.Close() })
 		return d.Connect, d.History
+	})
+}
+
+// TestEmbeddedConnBeginSuite runs the shared BEGIN failure-parity suite
+// against embedded connections, with faults injected at the db.exec point;
+// internal/wire runs it across the protocol, where a prepared BEGIN is
+// pipelined onto the transaction's first statement.
+func TestEmbeddedConnBeginSuite(t *testing.T) {
+	conntest.RunBegin(t, func(t *testing.T) conntest.BeginSeam {
+		d := db.Open(storage.Options{RecordHistory: true})
+		t.Cleanup(func() { d.Close() })
+		inj := faultinject.New(1)
+		return conntest.BeginSeam{
+			Connect:     func() db.Conn { return faultinject.Wrap(d.Connect(), inj) },
+			History:     d.History,
+			Faults:      inj,
+			RejectPoint: faultinject.PointDBExec,
+			DropPoint:   faultinject.PointDBExec,
+		}
 	})
 }

@@ -99,4 +99,49 @@ func RunOverload(t *testing.T, factory OverloadFactory) {
 			t.Fatalf("history with sheds must check clean:\n%s", rep)
 		}
 	})
+
+	t.Run("ShedFirstStatementAfterBegin", func(t *testing.T) {
+		connect, capture := factory(t, opts)
+		a, b := connect(), connect()
+		defer a.Close()
+		defer b.Close()
+		mustExec(t, a, "CREATE TABLE kv (id BIGINT PRIMARY KEY, key TEXT, value TEXT)")
+		mustExec(t, a, "INSERT INTO kv (key, value) VALUES ('k', 'original')")
+		begin, err := b.Prepare("BEGIN")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer begin.Close()
+
+		mustExec(t, a, "BEGIN")
+		mustExec(t, a, "UPDATE kv SET value = 'held' WHERE key = 'k'")
+		// b's transaction opens with a prepared BEGIN, which a remote
+		// connection may send together with the statement that sheds.
+		mustBegin(t, begin)
+		if _, err := b.Exec("UPDATE kv SET value = 'phantom' WHERE key = 'k'"); !errors.Is(err, storage.ErrOverloaded) {
+			t.Fatalf("expected shed, got %v", err)
+		}
+		// The shed aborted b's transaction along with its first statement.
+		if _, err := b.Exec("COMMIT"); err == nil {
+			t.Fatal("COMMIT succeeded after the transaction's first statement was shed")
+		}
+		mustExec(t, a, "COMMIT")
+
+		res, err := b.Exec("SELECT value FROM kv WHERE key = 'k'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].S; got != "held" {
+			t.Fatalf("shed statement left a trace: value = %q", got)
+		}
+		updates := 0
+		for _, e := range capture() {
+			if e.Kind == histcheck.KindWrite && e.Op == "update" {
+				updates++
+			}
+		}
+		if updates != 1 {
+			t.Fatalf("history holds %d installed updates, want only the holder's", updates)
+		}
+	})
 }

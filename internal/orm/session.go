@@ -48,6 +48,43 @@ type Session struct {
 	// same statement shapes over and over (the validation probe, INSERT,
 	// UPDATE ... WHERE id = ?), so each is prepared once per session.
 	stmts map[string]db.Stmt
+	// texts caches the rendered text of those shapes (see sqlText), so the
+	// hot paths look their statement up instead of formatting it per call.
+	texts map[sqlKey]string
+}
+
+// sqlKey names one rendered statement shape: the model, the statement, and
+// what varies within it.
+type sqlKey struct {
+	m           *Model
+	op          sqlOp
+	attr, scope string
+	// cols is the column set of an INSERT: bit 0 the id, bit i+1 Attrs[i].
+	cols uint64
+}
+
+type sqlOp uint8
+
+const (
+	sqlFind sqlOp = iota
+	sqlWhere
+	sqlUniqueProbe
+	sqlUniqueFold
+	sqlInsert
+)
+
+// sqlText returns the statement text for k, rendering it with build the
+// first time. The text is exactly what build renders, so the statement
+// cache sees the same keys either way.
+func (s *Session) sqlText(k sqlKey, build func() string) string {
+	if q, ok := s.texts[k]; ok {
+		return q
+	}
+	q := build()
+	if len(s.texts) < maxSessionStmts {
+		s.texts[k] = q
+	}
+	return q
 }
 
 // maxSessionStmts bounds the per-session statement cache; statements beyond
@@ -56,7 +93,8 @@ const maxSessionStmts = 256
 
 // NewSession creates a session over conn.
 func NewSession(registry *Registry, conn db.Conn) *Session {
-	return &Session{registry: registry, conn: conn, clock: time.Now, stmts: make(map[string]db.Stmt)}
+	return &Session{registry: registry, conn: conn, clock: time.Now,
+		stmts: make(map[string]db.Stmt), texts: make(map[sqlKey]string)}
 }
 
 // SetContext bounds every subsequent statement of the session by ctx: its
@@ -402,8 +440,10 @@ func (s *Session) Find(modelName string, id int64) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.exec(fmt.Sprintf(
-		"SELECT %s FROM %s WHERE id = ? LIMIT 1", s.columnList(m), m.Table()), storage.Int(id))
+	sql := s.sqlText(sqlKey{m: m, op: sqlFind}, func() string {
+		return fmt.Sprintf("SELECT %s FROM %s WHERE id = ? LIMIT 1", s.columnList(m), m.Table())
+	})
+	res, err := s.exec(sql, storage.Int(id))
 	if err != nil {
 		return nil, err
 	}
@@ -436,8 +476,10 @@ func (s *Session) Where(modelName, attr string, value storage.Value) ([]*Record,
 	if m.attr(attr) == nil && !strings.EqualFold(attr, "id") {
 		return nil, fmt.Errorf("%w: %s.%s", ErrUnknownAttr, modelName, attr)
 	}
-	res, err := s.exec(fmt.Sprintf(
-		"SELECT %s FROM %s WHERE %s = ?", s.columnList(m), m.Table(), attr), value)
+	sql := s.sqlText(sqlKey{m: m, op: sqlWhere, attr: attr}, func() string {
+		return fmt.Sprintf("SELECT %s FROM %s WHERE %s = ?", s.columnList(m), m.Table(), attr)
+	})
+	res, err := s.exec(sql, value)
 	if err != nil {
 		return nil, err
 	}
@@ -556,37 +598,32 @@ func (s *Session) materialize(m *Model, res *db.Result) []*Record {
 
 func (s *Session) performInsert(rec *Record) error {
 	m := rec.model
-	cols := make([]string, 0, len(m.Attrs)+3)
-	var args []storage.Value
+	args := make([]storage.Value, 0, len(m.Attrs)+4)
+	var cols uint64
 	if rec.id != 0 {
-		cols = append(cols, "id")
+		cols |= 1
 		args = append(args, storage.Int(rec.id))
 	}
-	for _, a := range m.Attrs {
+	for i, a := range m.Attrs {
 		if v, ok := rec.attrs[strings.ToLower(a.Name)]; ok {
-			cols = append(cols, a.Name)
+			cols |= 1 << (i + 1)
 			args = append(args, v)
 		}
 	}
 	if m.OptimisticLocking {
-		cols = append(cols, "lock_version")
 		args = append(args, storage.Int(0))
 		rec.lockVersion = 0
 	}
 	if m.Timestamps {
 		now := storage.Time(s.clock().UTC())
-		cols = append(cols, "created_at", "updated_at")
 		args = append(args, now, now)
 	}
 	var sql string
-	if len(cols) == 0 {
-		// A model with no set attributes still inserts a row; give the
-		// engine at least the id column to satisfy the column-list grammar.
-		sql = fmt.Sprintf("INSERT INTO %s (id) VALUES (NULL)", m.Table())
+	if len(m.Attrs) < 64 {
+		sql = s.sqlText(sqlKey{m: m, op: sqlInsert, cols: cols}, func() string { return insertSQL(rec) })
 	} else {
-		marks := strings.Repeat("?, ", len(cols))
-		sql = fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
-			m.Table(), strings.Join(cols, ", "), marks[:len(marks)-2])
+		// Too many attributes for the column-set key; render every time.
+		sql = insertSQL(rec)
 	}
 	res, err := s.exec(sql, args...)
 	if err != nil {
@@ -595,6 +632,35 @@ func (s *Session) performInsert(rec *Record) error {
 	rec.id = res.LastInsertID
 	rec.persisted = true
 	return nil
+}
+
+// insertSQL renders the INSERT for the record's column set in the argument
+// order performInsert binds: id, set attributes, lock_version, timestamps.
+func insertSQL(rec *Record) string {
+	m := rec.model
+	cols := make([]string, 0, len(m.Attrs)+4)
+	if rec.id != 0 {
+		cols = append(cols, "id")
+	}
+	for _, a := range m.Attrs {
+		if _, ok := rec.attrs[strings.ToLower(a.Name)]; ok {
+			cols = append(cols, a.Name)
+		}
+	}
+	if m.OptimisticLocking {
+		cols = append(cols, "lock_version")
+	}
+	if m.Timestamps {
+		cols = append(cols, "created_at", "updated_at")
+	}
+	if len(cols) == 0 {
+		// A model with no set attributes still inserts a row; give the
+		// engine at least the id column to satisfy the column-list grammar.
+		return fmt.Sprintf("INSERT INTO %s (id) VALUES (NULL)", m.Table())
+	}
+	marks := strings.Repeat("?, ", len(cols))
+	return fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
+		m.Table(), strings.Join(cols, ", "), marks[:len(marks)-2])
 }
 
 func (s *Session) performUpdate(rec *Record) error {

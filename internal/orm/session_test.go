@@ -642,3 +642,72 @@ func TestDefaultsAppliedOnNew(t *testing.T) {
 		t.Fatalf("default not applied: %q", got.GetString("state"))
 	}
 }
+
+// recordingConn records the text of every statement prepared through it.
+type recordingConn struct {
+	db.Conn
+	prepared []string
+}
+
+func (c *recordingConn) Prepare(sql string) (db.Stmt, error) {
+	c.prepared = append(c.prepared, sql)
+	return c.Conn.Prepare(sql)
+}
+
+// TestStatementTextsStable pins the exact text of the statements the hot
+// paths render from the session's text cache: they must stay byte-identical
+// to the formatted forms, or the prepared-statement cache keys would move.
+func TestStatementTextsStable(t *testing.T) {
+	m := &Model{
+		Name: "Entry", TableName: "entries",
+		Attrs: []Attr{
+			{Name: "key", Kind: storage.KindString},
+			{Name: "tenant", Kind: storage.KindString},
+			{Name: "value", Kind: storage.KindString},
+		},
+		Validations:       []Validation{&Uniqueness{Attr: "key", Scope: "tenant"}},
+		OptimisticLocking: true,
+		Timestamps:        true,
+	}
+	r, err := NewRegistry(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &recordingConn{Conn: db.Open(storage.Options{}).Connect()}
+	s := NewSession(r, conn)
+	if err := s.Migrate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		rec, err := s.Create("Entry", attrs("key", "k", "tenant", "t"+string(rune('0'+i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Find("Entry", rec.ID()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Where("Entry", "key", storage.Str("k")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Create("Entry", attrs("key", "k2", "tenant", "t", "value", "v")); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"BEGIN",
+		"SELECT id FROM entries WHERE key = ? AND tenant = ? LIMIT 2",
+		"INSERT INTO entries (key, tenant, lock_version, created_at, updated_at) VALUES (?, ?, ?, ?, ?)",
+		"COMMIT",
+		"SELECT id, key, tenant, value, lock_version, created_at, updated_at FROM entries WHERE id = ? LIMIT 1",
+		"SELECT id, key, tenant, value, lock_version, created_at, updated_at FROM entries WHERE key = ?",
+		"INSERT INTO entries (key, tenant, value, lock_version, created_at, updated_at) VALUES (?, ?, ?, ?, ?, ?)",
+	}
+	if len(conn.prepared) != len(want) {
+		t.Fatalf("prepared %d statements, want %d:\n%q", len(conn.prepared), len(want), conn.prepared)
+	}
+	for i := range want {
+		if conn.prepared[i] != want[i] {
+			t.Errorf("statement %d:\n got %q\nwant %q", i, conn.prepared[i], want[i])
+		}
+	}
+}

@@ -33,6 +33,15 @@ func (ctx *ValidationContext) Exec(sql string, args ...storage.Value) (*db.Resul
 	return ctx.Conn.Exec(sql, args...)
 }
 
+// sqlText renders a probe's text through the session's text cache when the
+// context has a session.
+func (ctx *ValidationContext) sqlText(k sqlKey, build func() string) string {
+	if ctx.Session != nil {
+		return ctx.Session.sqlText(k, build)
+	}
+	return build()
+}
+
 // Validation is one declared correctness criterion. Fails appends messages.
 type Validation interface {
 	// Name returns the Rails-style validator name, e.g.
@@ -160,12 +169,14 @@ func (v *Uniqueness) Validate(ctx *ValidationContext) (string, error) {
 	if val.IsNull() {
 		return "", nil // Rails skips uniqueness on nil unless presence is also declared
 	}
-	table := ctx.Record.model.Table()
+	m := ctx.Record.model
 	var res *db.Result
 	if v.CaseInsensitive && val.Kind == storage.KindString {
 		// No LOWER() in the engine's SQL dialect: fetch candidates and fold
 		// case client-side, as some Rails adapters effectively do.
-		all, qerr := ctx.Exec(fmt.Sprintf("SELECT id, %s FROM %s", v.Attr, table))
+		all, qerr := ctx.Exec(ctx.sqlText(sqlKey{m: m, op: sqlUniqueFold, attr: v.Attr}, func() string {
+			return fmt.Sprintf("SELECT id, %s FROM %s", v.Attr, m.Table())
+		}))
 		if qerr != nil {
 			return "", qerr
 		}
@@ -177,17 +188,21 @@ func (v *Uniqueness) Validate(ctx *ValidationContext) (string, error) {
 			}
 		}
 	} else {
-		query := fmt.Sprintf("SELECT id FROM %s WHERE %s = ?", table, v.Attr)
 		args := []storage.Value{val}
 		if v.Scope != "" {
 			scopeVal, serr := ctx.Record.Get(v.Scope)
 			if serr != nil {
 				return "", serr
 			}
-			query += fmt.Sprintf(" AND %s = ?", v.Scope)
 			args = append(args, scopeVal)
 		}
-		query += " LIMIT 2"
+		query := ctx.sqlText(sqlKey{m: m, op: sqlUniqueProbe, attr: v.Attr, scope: v.Scope}, func() string {
+			q := fmt.Sprintf("SELECT id FROM %s WHERE %s = ?", m.Table(), v.Attr)
+			if v.Scope != "" {
+				q += fmt.Sprintf(" AND %s = ?", v.Scope)
+			}
+			return q + " LIMIT 2"
+		})
 		res, err = ctx.Exec(query, args...)
 		if err != nil {
 			return "", err

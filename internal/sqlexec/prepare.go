@@ -40,6 +40,13 @@ func (p *Prepared) NumParams() int { return p.nParams }
 // Epoch returns the schema epoch the plan was resolved at.
 func (p *Prepared) Epoch() uint64 { return p.epoch }
 
+// Begins reports whether the statement opens a transaction (BEGIN, with or
+// without an isolation level).
+func (p *Prepared) Begins() bool {
+	_, ok := p.stmt.(*sqlfront.BeginStmt)
+	return ok
+}
+
 // Prepare parses sql and resolves the schemas it references, producing a
 // reusable plan. Parse errors surface immediately; unknown tables do not
 // (the statement may legitimately precede its CREATE TABLE), they simply
@@ -98,21 +105,37 @@ func (s *Session) ExecutePreparedContext(ctx context.Context, p *Prepared, args 
 		return s.ExecutePrepared(p, args...)
 	}
 	if err := ctx.Err(); err != nil {
-		// The statement fails without executing, but it still fails *as a
-		// statement*: inside an explicit transaction that aborts the
-		// transaction, matching the engine's PostgreSQL-style semantics. The
-		// wire server relies on this to discard a cancelled client's open tx.
-		if s.tx != nil {
-			s.tx.Rollback()
-			s.tx = nil
-		}
-		return nil, ctxStatementErr(err)
+		return nil, s.refuse(err)
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		s.stmtDeadline = dl
-		defer func() { s.stmtDeadline = time.Time{} }()
+	dl, _ := ctx.Deadline()
+	return s.ExecutePreparedDeadline(dl, p, args...)
+}
+
+// ExecutePreparedDeadline is ExecutePrepared bounded by an absolute deadline
+// (the zero time means none). It is ExecutePreparedContext without a context:
+// the executor only ever reads the deadline, so callers that hold a bare
+// instant — the wire server, re-anchoring a request's relative budget — need
+// not build a context and its timer per statement. A deadline already passed
+// fails the statement before it starts.
+func (s *Session) ExecutePreparedDeadline(dl time.Time, p *Prepared, args ...storage.Value) (*Result, error) {
+	if dl.IsZero() {
+		return s.ExecutePrepared(p, args...)
 	}
+	if !time.Now().Before(dl) {
+		return nil, s.refuse(context.DeadlineExceeded)
+	}
+	s.stmtDeadline = dl
+	defer func() { s.stmtDeadline = time.Time{} }()
 	return s.ExecutePrepared(p, args...)
+}
+
+// refuse fails a statement that never starts because its context is done.
+// It still fails *as a statement*: inside an explicit transaction that aborts
+// the transaction, matching the engine's PostgreSQL-style semantics. The wire
+// server relies on this to discard a cancelled client's open tx.
+func (s *Session) refuse(err error) error {
+	s.Reset()
+	return ctxStatementErr(err)
 }
 
 // ctxStatementErr maps a context error onto the engine's taxonomy: deadline

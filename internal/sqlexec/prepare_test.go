@@ -1,9 +1,11 @@
 package sqlexec
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"feralcc/internal/storage"
 )
@@ -258,5 +260,34 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Len() > 16 {
 		t.Fatalf("cache exceeded capacity under concurrency: %d", c.Len())
+	}
+}
+
+// TestExecutePreparedDeadline pins the context-free deadline entry point: a
+// deadline already passed refuses the statement as a timeout and aborts the
+// open transaction, a future one runs it, and the zero time means none.
+func TestExecutePreparedDeadline(t *testing.T) {
+	_, s := newTestDB(t)
+	ins, err := s.Prepare("INSERT INTO t (a) VALUES ('x')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExecutePreparedDeadline(time.Now().Add(-time.Millisecond), ins); !errors.Is(err, storage.ErrStmtDeadline) {
+		t.Fatalf("passed deadline: got %v, want %v", err, storage.ErrStmtDeadline)
+	}
+	if s.InTx() {
+		t.Fatal("a refused statement left its transaction open")
+	}
+	for _, dl := range []time.Time{{}, time.Now().Add(time.Minute)} {
+		if _, err := s.ExecutePreparedDeadline(dl, ins); err != nil {
+			t.Fatalf("deadline %v: %v", dl, err)
+		}
+	}
+	res, err := s.Exec("SELECT COUNT(*) FROM t")
+	if err != nil || res.Rows[0][0].I != 2 {
+		t.Fatalf("rows: %+v %v", res, err)
 	}
 }

@@ -53,16 +53,25 @@ type Client struct {
 	addr string
 	opts Options
 	conn net.Conn
-	r    *bufio.Reader
+	fr   frameReader
 	w    *bufio.Writer
-	// buf is reused for request encoding so the steady-state send path is
-	// allocation-free.
-	buf []byte
+	// buf and args are reused for request encoding so the steady-state send
+	// path is allocation-free.
+	buf  []byte
+	args []wireValue
+	// rows is reused for decoding response rows, which toResult copies out.
+	rows rowBuf
 	// gen counts established connections; prepared statements record the
 	// generation they were prepared on and re-prepare when it moves.
 	gen    uint64
 	broken bool
 	closed bool
+	// inTx is the session status the last response reported.
+	inTx bool
+	// pendingBegin is the handle of a prepared BEGIN executed on an idle
+	// session but not yet sent (0 = none): it rides as the begin prefix of
+	// the next MsgExec or MsgExecute frame.
+	pendingBegin uint64
 }
 
 var _ db.Conn = (*Client)(nil)
@@ -103,16 +112,20 @@ func (c *Client) connect() error {
 		mClientRedials.Inc()
 	}
 	c.conn = conn
-	c.r = bufio.NewReader(conn)
+	c.fr = frameReader{r: bufio.NewReader(conn)}
 	c.w = bufio.NewWriter(conn)
 	c.broken = false
 	c.gen++
 	return nil
 }
 
-// sever marks the current connection unusable and closes it.
+// sever marks the current connection unusable and closes it. A pending
+// BEGIN dies with the session it was meant for: the next connection starts
+// idle.
 func (c *Client) sever() {
 	c.broken = true
+	c.inTx = false
+	c.pendingBegin = 0
 	if c.conn != nil {
 		c.conn.Close()
 	}
@@ -199,34 +212,65 @@ func (c *Client) budgetFor(ctx context.Context) (time.Duration, error) {
 }
 
 // abortStatement best-effort ships a request whose budget is spent on
-// arrival, so the server fails it before execution (aborting any open
+// arrival, so the server fails it before execution (aborting the open
 // transaction there). Any wire failure severs the connection instead, which
 // makes the server roll back as for a vanished peer — the same end state.
-// Caller holds c.mu.
+// An idle session has nothing to abort, so nothing is shipped; a pending
+// BEGIN is dropped, exactly as an embedded session's fresh transaction is
+// aborted by the refused statement. Caller holds c.mu.
 func (c *Client) abortStatement(req *request) {
+	c.pendingBegin = 0
+	if !c.inTx {
+		return
+	}
 	req.DeadlineNanos = 1
 	io := c.opts.Timeout
 	if io <= 0 {
 		io = time.Second
 	}
 	c.conn.SetDeadline(time.Now().Add(io))
-	c.buf = encodeRequest(c.buf[:0], req)
-	if writeFrame(c.w, c.buf) != nil || c.w.Flush() != nil {
+	c.buf = encodeRequest(startFrame(c.buf), req)
+	if endFrame(c.buf) != nil || c.flush() != nil {
 		c.sever()
 		return
 	}
-	if _, err := readFrame(c.r); err != nil {
+	var resp response
+	if c.receive(&resp) != nil {
 		c.sever()
 	}
 }
 
-// roundTrip sends one request and reads its response. Caller holds c.mu.
-func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error) {
+// flush writes the frame in c.buf and flushes it to the socket. Caller holds
+// c.mu.
+func (c *Client) flush() error {
+	if _, err := c.w.Write(c.buf); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// receive reads and decodes one response, recording the session status it
+// reports. Caller holds c.mu.
+func (c *Client) receive(resp *response) error {
+	body, err := c.fr.next()
+	if err != nil {
+		return err
+	}
+	if err := decodeResponse(body, resp, &c.rows); err != nil {
+		return err
+	}
+	c.inTx = resp.Status == StatusInTx
+	return nil
+}
+
+// roundTrip sends one request and reads its response into resp. Caller holds
+// c.mu.
+func (c *Client) roundTrip(ctx context.Context, req *request, resp *response) error {
 	if c.closed {
-		return nil, net.ErrClosed
+		return net.ErrClosed
 	}
 	if err := c.ensureConn(); err != nil {
-		return nil, err
+		return err
 	}
 	budget, err := c.budgetFor(ctx)
 	if err != nil {
@@ -237,14 +281,17 @@ func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error)
 		// request). Ship the request with a 1ns budget, which expires on
 		// arrival, and surface the context error regardless of the reply.
 		c.abortStatement(req)
-		return nil, err
+		return err
 	}
 	req.DeadlineNanos = int64(budget)
-	// Mint the statement's trace ID at the outermost tier: it travels with
-	// the request, the server threads it through the executor and storage,
-	// and the response echoes it back with the span timings.
-	if (req.Type == MsgExec || req.Type == MsgExecute) && req.TraceID == 0 {
-		req.TraceID = obs.NewTraceID()
+	if req.Type == MsgExec || req.Type == MsgExecute {
+		// Mint the statement's trace ID at the outermost tier: it travels
+		// with the request, the server threads it through the executor and
+		// storage, and the response echoes it back with the span timings.
+		if req.TraceID == 0 {
+			req.TraceID = obs.NewTraceID()
+		}
+		req.BeginHandle = c.pendingBegin
 	}
 
 	// Client-side send faults fire before any byte is written, so a drop
@@ -255,17 +302,17 @@ func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error)
 			time.Sleep(f.Latency)
 		case faultinject.KindDrop:
 			c.sever()
-			return nil, fmt.Errorf("%w: %v", db.ErrConnDropped, faultinject.ErrInjected)
+			return fmt.Errorf("%w: %v", db.ErrConnDropped, faultinject.ErrInjected)
 		case faultinject.KindTruncate:
 			// Ship a frame header that promises more body than will ever
 			// arrive, then sever: the server must abandon the connection
 			// without executing anything.
 			c.conn.Write([]byte{0, 0, 0, 16, byte(MsgExec)})
 			c.sever()
-			return nil, fmt.Errorf("%w: %v", db.ErrConnDropped, faultinject.ErrInjected)
+			return fmt.Errorf("%w: %v", db.ErrConnDropped, faultinject.ErrInjected)
 		default:
 			if err := f.Error(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -275,12 +322,18 @@ func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error)
 	} else {
 		c.conn.SetDeadline(time.Time{})
 	}
-	c.buf = encodeRequest(c.buf[:0], req)
-	if err := writeFrame(c.w, c.buf); err != nil {
-		return nil, c.sendPathErr(err)
+	c.buf = encodeRequest(startFrame(c.buf), req)
+	if err := endFrame(c.buf); err != nil {
+		// Too large to frame: nothing was written and the stream is intact.
+		return err
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.sendPathErr(err)
+	if err := c.flush(); err != nil {
+		return c.sendPathErr(err)
+	}
+	if req.BeginHandle != 0 {
+		// The frame carried the pending BEGIN; from here the response's
+		// session status is the truth about the transaction.
+		c.pendingBegin = 0
 	}
 
 	// Past this point the request is on the wire; failures are no longer
@@ -291,31 +344,26 @@ func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error)
 			time.Sleep(f.Latency)
 		case faultinject.KindDrop, faultinject.KindTruncate:
 			c.sever()
-			return nil, &responseLostError{err: faultinject.ErrInjected}
+			return &responseLostError{err: faultinject.ErrInjected}
 		default:
 			if err := f.Error(); err != nil {
 				c.sever()
-				return nil, &responseLostError{err: err}
+				return &responseLostError{err: err}
 			}
 		}
 	}
-	body, err := readFrame(c.r)
-	if err != nil {
-		return nil, c.recvPathErr(err)
-	}
-	resp, err := decodeResponse(body)
-	if err != nil {
-		// The stream can no longer be trusted to be in frame sync.
-		c.sever()
-		return nil, c.recvPathErr(err)
+	if err := c.receive(resp); err != nil {
+		// A short read or an undecodable body: the stream can no longer be
+		// trusted to be in frame sync.
+		return c.recvPathErr(err)
 	}
 	if resp.Code != CodeOK {
 		if resp.Code == CodeOverloaded {
 			mClientOverloaded.Inc()
 		}
-		return nil, errorFor(resp.Code, resp.Error, time.Duration(resp.RetryAfterNanos))
+		return errorFor(resp.Code, resp.Error, time.Duration(resp.RetryAfterNanos))
 	}
-	return resp, nil
+	return nil
 }
 
 // toResult converts a wire response into an executor result.
@@ -331,27 +379,33 @@ func toResult(resp *response) *db.Result {
 		},
 	}
 	if len(resp.Rows) > 0 {
+		// One array holds every cell; each row is a full slice of it, so a
+		// caller appending to a row cannot overwrite the next.
+		n := 0
+		for _, row := range resp.Rows {
+			n += len(row)
+		}
+		cells := make([]storage.Value, 0, n)
 		res.Rows = make([][]storage.Value, len(resp.Rows))
 		for i, row := range resp.Rows {
-			vals := make([]storage.Value, len(row))
-			for j, w := range row {
-				vals[j] = fromWire(w)
+			start := len(cells)
+			for _, w := range row {
+				cells = append(cells, fromWire(w))
 			}
-			res.Rows[i] = vals
+			res.Rows[i] = cells[start:len(cells):len(cells)]
 		}
 	}
 	return res
 }
 
-func toWireArgs(args []storage.Value) []wireValue {
-	if len(args) == 0 {
-		return nil
+// wireArgs converts statement arguments into the client's reused argument
+// buffer, valid until the next request. Caller holds c.mu.
+func (c *Client) wireArgs(args []storage.Value) []wireValue {
+	c.args = c.args[:0]
+	for _, a := range args {
+		c.args = append(c.args, toWire(a))
 	}
-	out := make([]wireValue, len(args))
-	for i, a := range args {
-		out[i] = toWire(a)
-	}
-	return out
+	return c.args
 }
 
 // Exec implements db.Conn. Server-side, the statement hits the shared plan
@@ -367,11 +421,11 @@ func (c *Client) Exec(sql string, args ...storage.Value) (*db.Result, error) {
 func (c *Client) ExecContext(ctx context.Context, sql string, args ...storage.Value) (*db.Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := c.roundTrip(ctx, &request{Type: MsgExec, SQL: sql, Args: toWireArgs(args)})
-	if err != nil {
+	var resp response
+	if err := c.roundTrip(ctx, &request{Type: MsgExec, SQL: sql, Args: c.wireArgs(args)}, &resp); err != nil {
 		return nil, err
 	}
-	return toResult(resp), nil
+	return toResult(&resp), nil
 }
 
 // Prepare implements db.Conn: the statement is planned server-side once and
@@ -379,11 +433,11 @@ func (c *Client) ExecContext(ctx context.Context, sql string, args ...storage.Va
 func (c *Client) Prepare(sql string) (db.Stmt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := c.roundTrip(nil, &request{Type: MsgPrepare, SQL: sql})
-	if err != nil {
+	st := &clientStmt{c: c, sql: sql}
+	if err := st.prepare(); err != nil {
 		return nil, err
 	}
-	return &clientStmt{c: c, sql: sql, handle: resp.Handle, gen: c.gen}, nil
+	return st, nil
 }
 
 // Close implements db.Conn. The server rolls back any open transaction when
@@ -409,7 +463,23 @@ type clientStmt struct {
 	sql    string
 	handle uint64
 	gen    uint64
+	// begins is the server's verdict that the statement opens a
+	// transaction: executing it on an idle session is pipelined.
+	begins bool
 	closed bool
+}
+
+// prepare plans the statement on the current connection. Caller holds
+// st.c.mu.
+func (st *clientStmt) prepare() error {
+	var resp response
+	if err := st.c.roundTrip(nil, &request{Type: MsgPrepare, SQL: st.sql}, &resp); err != nil {
+		return err
+	}
+	st.handle = resp.Handle
+	st.begins = resp.Begins
+	st.gen = st.c.gen
+	return nil
 }
 
 // refresh re-prepares the statement when the connection generation moved.
@@ -418,13 +488,7 @@ func (st *clientStmt) refresh() error {
 	if st.gen == st.c.gen && !st.c.broken {
 		return nil
 	}
-	resp, err := st.c.roundTrip(nil, &request{Type: MsgPrepare, SQL: st.sql})
-	if err != nil {
-		return err
-	}
-	st.handle = resp.Handle
-	st.gen = st.c.gen
-	return nil
+	return st.prepare()
 }
 
 // Exec implements db.Stmt.
@@ -442,11 +506,22 @@ func (st *clientStmt) ExecContext(ctx context.Context, args ...storage.Value) (*
 	if err := st.refresh(); err != nil {
 		return nil, err
 	}
-	resp, err := st.c.roundTrip(ctx, &request{Type: MsgExecute, Handle: st.handle, Args: toWireArgs(args)})
-	if err != nil {
+	c := st.c
+	if st.begins && !c.inTx && c.pendingBegin == 0 && !c.closed {
+		// Pipeline the BEGIN: on an idle session it cannot fail for any
+		// reason but a spent budget, and it returns nothing, so it waits to
+		// ride on the transaction's first statement.
+		if _, err := c.budgetFor(ctx); err != nil {
+			return nil, err
+		}
+		c.pendingBegin = st.handle
+		return &db.Result{}, nil
+	}
+	var resp response
+	if err := c.roundTrip(ctx, &request{Type: MsgExecute, Handle: st.handle, Args: c.wireArgs(args)}, &resp); err != nil {
 		return nil, err
 	}
-	return toResult(resp), nil
+	return toResult(&resp), nil
 }
 
 // Close implements db.Stmt, releasing the server-side handle.
@@ -459,6 +534,14 @@ func (st *clientStmt) Close() error {
 		return nil
 	}
 	st.closed = true
-	_, err := st.c.roundTrip(nil, &request{Type: MsgCloseStmt, Handle: st.handle})
-	return err
+	if st.c.pendingBegin == st.handle {
+		// The pending BEGIN names this handle: run it before releasing it.
+		st.c.pendingBegin = 0
+		var resp response
+		if err := st.c.roundTrip(nil, &request{Type: MsgExecute, Handle: st.handle}, &resp); err != nil {
+			return err
+		}
+	}
+	var resp response
+	return st.c.roundTrip(nil, &request{Type: MsgCloseStmt, Handle: st.handle}, &resp)
 }

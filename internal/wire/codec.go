@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"feralcc/internal/storage"
@@ -195,7 +196,9 @@ func appendValues(b []byte, vals []wireValue) []byte {
 	return b
 }
 
-func (d *decoder) values() []wireValue {
+// values decodes a value list, reusing buf's backing array when it is large
+// enough.
+func (d *decoder) values(buf []wireValue) []wireValue {
 	n := d.uvarint()
 	if d.err != nil || n == 0 {
 		return nil
@@ -206,11 +209,41 @@ func (d *decoder) values() []wireValue {
 		d.fail()
 		return nil
 	}
-	vals := make([]wireValue, n)
+	vals := slices.Grow(buf[:0], int(n))[:n]
 	for i := range vals {
 		vals[i] = d.value()
 	}
 	return vals
+}
+
+// rows decodes n value lists into buf's reused storage.
+func (d *decoder) rows(n int, buf *rowBuf) [][]wireValue {
+	if buf == nil {
+		buf = new(rowBuf)
+	}
+	if cap(buf.cells) > maxKeptCells {
+		*buf = rowBuf{}
+	}
+	rows, cells := buf.rows[:0], buf.cells[:0]
+	for i := 0; i < n && d.err == nil; i++ {
+		m := d.uvarint()
+		// Each value takes at least one byte of the remaining body.
+		if m > uint64(len(d.buf)-d.off) {
+			d.fail()
+			break
+		}
+		start := len(cells)
+		for j := uint64(0); j < m; j++ {
+			cells = append(cells, d.value())
+		}
+		var row []wireValue
+		if m > 0 {
+			row = cells[start:len(cells):len(cells)]
+		}
+		rows = append(rows, row)
+	}
+	buf.rows, buf.cells = rows, cells
+	return rows
 }
 
 // --- message codec ------------------------------------------------------------
@@ -220,6 +253,7 @@ func encodeRequest(b []byte, req *request) []byte {
 	switch req.Type {
 	case MsgExec:
 		b = appendUvarint(b, uint64(req.DeadlineNanos))
+		b = appendUvarint(b, req.BeginHandle)
 		b = appendString(b, req.SQL)
 		b = appendValues(b, req.Args)
 		b = appendUvarint(b, req.TraceID)
@@ -227,6 +261,7 @@ func encodeRequest(b []byte, req *request) []byte {
 		b = appendString(b, req.SQL)
 	case MsgExecute:
 		b = appendUvarint(b, uint64(req.DeadlineNanos))
+		b = appendUvarint(b, req.BeginHandle)
 		b = appendUvarint(b, req.Handle)
 		b = appendValues(b, req.Args)
 		b = appendUvarint(b, req.TraceID)
@@ -236,35 +271,48 @@ func encodeRequest(b []byte, req *request) []byte {
 	return b
 }
 
-func decodeRequest(body []byte) (*request, error) {
+// decodeRequest decodes body into req, overwriting every field. req.Args
+// reuses its backing array when it is large enough, so a server decoding
+// into one request per connection allocates nothing for the argument list.
+func decodeRequest(body []byte, req *request) error {
 	d := &decoder{buf: body}
-	req := &request{Type: MsgType(d.byte())}
+	args := req.Args[:0]
+	*req = request{Type: MsgType(d.byte())}
 	switch req.Type {
 	case MsgExec:
 		req.DeadlineNanos = int64(d.uvarint())
+		req.BeginHandle = d.uvarint()
 		req.SQL = d.string()
-		req.Args = d.values()
+		req.Args = d.values(args)
 		req.TraceID = d.uvarint()
 	case MsgPrepare:
 		req.SQL = d.string()
 	case MsgExecute:
 		req.DeadlineNanos = int64(d.uvarint())
+		req.BeginHandle = d.uvarint()
 		req.Handle = d.uvarint()
-		req.Args = d.values()
+		req.Args = d.values(args)
 		req.TraceID = d.uvarint()
 	case MsgCloseStmt:
 		req.Handle = d.uvarint()
 	default:
-		return nil, fmt.Errorf("wire: unknown message type %d", req.Type)
+		if d.err != nil {
+			return d.err
+		}
+		return fmt.Errorf("wire: unknown message type %d", req.Type)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return req, nil
+	return d.err
 }
 
+// Response flag bits (the byte after the trace ID of a CodeOK response).
+const (
+	flagCacheHit = 1 << iota // the statement's plan came from the plan cache
+	flagBegins               // the prepared statement opens a transaction
+	flagsKnown   = flagCacheHit | flagBegins
+)
+
 func encodeResponse(b []byte, resp *response) []byte {
-	b = append(b, byte(resp.Code))
+	b = append(b, byte(resp.Code), byte(resp.Status))
 	if resp.Code != CodeOK {
 		b = appendString(b, resp.Error)
 		return appendUvarint(b, uint64(resp.RetryAfterNanos))
@@ -282,11 +330,14 @@ func encodeResponse(b []byte, resp *response) []byte {
 	b = appendVarint(b, resp.RowsAffected)
 	b = appendVarint(b, resp.LastInsertID)
 	b = appendUvarint(b, resp.TraceID)
+	var flags byte
 	if resp.CacheHit {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+		flags |= flagCacheHit
 	}
+	if resp.Begins {
+		flags |= flagBegins
+	}
+	b = append(b, flags)
 	// Spans as (id, nanos) pairs, zeroes omitted: most statements touch only
 	// two or three of the span slots.
 	nz := 0
@@ -305,16 +356,18 @@ func encodeResponse(b []byte, resp *response) []byte {
 	return b
 }
 
-func decodeResponse(body []byte) (*response, error) {
+// decodeResponse decodes body into resp, overwriting every field. Rows are
+// decoded into buf (nil: freshly allocated), valid until its next use.
+func decodeResponse(body []byte, resp *response, buf *rowBuf) error {
 	d := &decoder{buf: body}
-	resp := &response{Code: ErrorCode(d.byte())}
+	*resp = response{Code: ErrorCode(d.byte()), Status: SessionStatus(d.byte())}
+	if d.err == nil && resp.Status > StatusInTx {
+		return fmt.Errorf("wire: unknown session status %d", resp.Status)
+	}
 	if d.err == nil && resp.Code != CodeOK {
 		resp.Error = d.string()
 		resp.RetryAfterNanos = int64(d.uvarint())
-		if d.err != nil {
-			return nil, d.err
-		}
-		return resp, nil
+		return d.err
 	}
 	resp.Handle = d.uvarint()
 	resp.NumParams = int(d.uvarint())
@@ -332,16 +385,18 @@ func decodeResponse(body []byte) (*response, error) {
 		if nrows > uint64(len(d.buf)-d.off) {
 			d.fail()
 		} else {
-			resp.Rows = make([][]wireValue, nrows)
-			for i := range resp.Rows {
-				resp.Rows[i] = d.values()
-			}
+			resp.Rows = d.rows(int(nrows), buf)
 		}
 	}
 	resp.RowsAffected = d.varint()
 	resp.LastInsertID = d.varint()
 	resp.TraceID = d.uvarint()
-	resp.CacheHit = d.byte() != 0
+	flags := d.byte()
+	if d.err == nil && flags&^flagsKnown != 0 {
+		return fmt.Errorf("wire: unknown response flags %#x", flags)
+	}
+	resp.CacheHit = flags&flagCacheHit != 0
+	resp.Begins = flags&flagBegins != 0
 	if nspans := d.uvarint(); d.err == nil && nspans > 0 {
 		if nspans > uint64(len(d.buf)-d.off) {
 			d.fail()
@@ -355,43 +410,83 @@ func decodeResponse(body []byte) (*response, error) {
 			}
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return resp, nil
+	return d.err
 }
 
 // --- framing ------------------------------------------------------------------
 
-// writeFrame writes one length-prefixed frame. The size is validated before
-// any byte reaches the writer: an oversized body returns an error with
-// nothing written, leaving the stream in sync for subsequent frames.
-func writeFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
+// frameHeader is the length prefix of every frame.
+const frameHeader = 4
+
+// startFrame resets b to an empty frame: room for the length prefix, which
+// endFrame fills in once the body has been appended.
+func startFrame(b []byte) []byte { return append(b[:0], 0, 0, 0, 0) }
+
+// endFrame stamps the body length into a frame built on startFrame. The size
+// is validated before any byte can reach a writer: an oversized body returns
+// an error, leaving the stream in sync for subsequent frames.
+func endFrame(frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
+// writeFrame writes one length-prefixed frame with an unframed body.
+func writeFrame(w io.Writer, body []byte) error {
+	frame := append(startFrame(nil), body...)
+	if err := endFrame(frame); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame reads one length-prefixed frame body.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// maxKeptFrame bounds the read buffer a connection keeps between frames: one
+// large result does not pin its size for the connection's lifetime.
+const maxKeptFrame = 64 << 10
+
+// frameReader reads length-prefixed frames into one reused buffer. The body
+// it returns is valid until the next call; the decoders copy every string
+// out of it.
+type frameReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// next reads one frame body. The buffer grows only as body bytes arrive, at
+// most doubling per step, so a header that promises MaxFrame bytes and then
+// stalls or closes costs what was actually sent, not what was promised.
+func (fr *frameReader) next() ([]byte, error) {
+	if cap(fr.buf) > maxKeptFrame {
+		fr.buf = nil
+	}
+	buf := fr.buf[:0]
+	if cap(buf) < 512 {
+		buf = make([]byte, 0, 512)
+	}
+	if _, err := io.ReadFull(fr.r, buf[:frameHeader]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(buf[:frameHeader]))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), cap(buf)))
+		}
+		m, err := fr.r.Read(buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil && len(buf) < n {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
-	return body, nil
+	fr.buf = buf
+	return buf[:n], nil
 }

@@ -40,12 +40,12 @@ func TestErrorCodesBinaryRoundTrip(t *testing.T) {
 		if err := writeFrame(&buf, body); err != nil {
 			t.Fatal(err)
 		}
-		frame, err := readFrame(&buf)
+		frame, err := (&frameReader{r: &buf}).next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := decodeResponse(frame)
-		if err != nil {
+		resp := new(response)
+		if err := decodeResponse(frame, resp, nil); err != nil {
 			t.Fatal(err)
 		}
 		rebuilt := errorFor(resp.Code, resp.Error, time.Duration(resp.RetryAfterNanos))
@@ -115,7 +115,7 @@ func TestWireValueSliceQuick(t *testing.T) {
 			in[idx] = canonical(k, i+int64(idx), float64(idx)/3, s, idx%2 == 0, -i)
 		}
 		d := &decoder{buf: appendValues(nil, in)}
-		out := d.values()
+		out := d.values(nil)
 		if d.err != nil || len(out) != len(in) {
 			return false
 		}
@@ -153,11 +153,11 @@ func TestDecoderRejectsTruncation(t *testing.T) {
 		Args:          []wireValue{toWire(storage.Int(-12345)), toWire(storage.Str("ü")), toWire(storage.Null())}}
 	full := encodeRequest(nil, req)
 	for n := 0; n < len(full); n++ {
-		if _, err := decodeRequest(full[:n]); err == nil {
+		if err := decodeRequest(full[:n], new(request)); err == nil {
 			t.Fatalf("truncated body of %d/%d bytes decoded cleanly", n, len(full))
 		}
 	}
-	if _, err := decodeRequest(full); err != nil {
+	if err := decodeRequest(full, new(request)); err != nil {
 		t.Fatalf("full body failed: %v", err)
 	}
 }
@@ -177,8 +177,8 @@ func TestRequestCodecQuick(t *testing.T) {
 		for idx, k := range kinds {
 			req.Args = append(req.Args, canonical(k, n+int64(idx), float64(idx), sql, idx%2 == 0, n))
 		}
-		got, err := decodeRequest(encodeRequest(nil, req))
-		if err != nil {
+		got := new(request)
+		if err := decodeRequest(encodeRequest(nil, req), got); err != nil {
 			return false
 		}
 		if got.Type != req.Type || got.SQL != req.SQL || got.Handle != req.Handle ||
@@ -203,8 +203,8 @@ func TestRequestCodecQuick(t *testing.T) {
 func TestRequestDeadlineZeroMeansUnbounded(t *testing.T) {
 	for _, typ := range []MsgType{MsgExec, MsgExecute} {
 		req := &request{Type: typ, SQL: "SELECT 1", Handle: 7}
-		got, err := decodeRequest(encodeRequest(nil, req))
-		if err != nil {
+		got := new(request)
+		if err := decodeRequest(encodeRequest(nil, req), got); err != nil {
 			t.Fatal(err)
 		}
 		if got.DeadlineNanos != 0 {
@@ -230,12 +230,12 @@ func TestResponseRejectsTruncation(t *testing.T) {
 	for _, resp := range responses {
 		full := encodeResponse(nil, resp)
 		for n := 0; n < len(full); n++ {
-			if _, err := decodeResponse(full[:n]); err == nil {
+			if err := decodeResponse(full[:n], new(response), nil); err == nil {
 				t.Fatalf("code %d: truncated body of %d/%d bytes decoded cleanly",
 					resp.Code, n, len(full))
 			}
 		}
-		if _, err := decodeResponse(full); err != nil {
+		if err := decodeResponse(full, new(response), nil); err != nil {
 			t.Fatalf("code %d: full body failed: %v", resp.Code, err)
 		}
 	}

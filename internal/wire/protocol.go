@@ -4,19 +4,28 @@
 // experiments (Rails workers on one machine, PostgreSQL on another).
 //
 // Framing: a 4-byte big-endian length followed by a binary body. The body's
-// first byte is the message type; the rest is a hand-rolled encoding using
-// unsigned varints for lengths and counts, zig-zag varints for signed
-// integers, and type-tagged values (see codec.go). Each connection is a
-// session with its own transaction state (and its own prepared-statement
-// handle table); requests on one connection are processed in order, one
-// response per request.
+// first byte is the message type (requests) or error code (responses); the
+// rest is a hand-rolled encoding using unsigned varints for lengths, counts
+// and handles, zig-zag varints for signed integers, and type-tagged values
+// (see codec.go). Each connection is a session with its own transaction
+// state (and its own prepared-statement handle table); requests on one
+// connection are processed in order, one response per request.
 //
 // Message types:
 //
-//	MsgExec      sql, args           — parse (via the server's plan cache) and run
-//	MsgPrepare   sql                 — plan once; response carries a statement handle
-//	MsgExecute   handle, args        — run a previously prepared statement
-//	MsgCloseStmt handle              — release a statement handle
+//	MsgExec      deadline, begin, sql, args, trace    — parse (via the server's plan cache) and run
+//	MsgPrepare   sql                                  — plan once; response carries a statement handle
+//	MsgExecute   deadline, begin, handle, args, trace — run a previously prepared statement
+//	MsgCloseStmt handle                               — release a statement handle
+//
+// Every response carries the session's transaction status after the request
+// (idle or in a transaction), like PostgreSQL's ReadyForQuery indicator, and
+// a MsgPrepare response marks a statement that opens a transaction. Together
+// they let the client pipeline BEGIN: executing a prepared BEGIN on an idle
+// session costs no round trip; its handle rides as the begin prefix of the
+// next MsgExec or MsgExecute frame, and the server runs it first, under the
+// same fault point, admission ticket and deadline as the statement. If the
+// BEGIN fails, the response carries its error and the statement never runs.
 package wire
 
 import (
@@ -131,6 +140,16 @@ func errorFor(code ErrorCode, msg string, retryAfter time.Duration) error {
 	}
 }
 
+// SessionStatus is a session's transaction state, reported on every response.
+type SessionStatus uint8
+
+const (
+	// StatusIdle: no transaction is open; the next statement autocommits.
+	StatusIdle SessionStatus = iota
+	// StatusInTx: an explicit transaction is open.
+	StatusInTx
+)
+
 // request is one client->server message.
 type request struct {
 	Type MsgType
@@ -139,9 +158,13 @@ type request struct {
 	// than an absolute wall-clock instant, so client and server clocks need
 	// not agree; the server reconstitutes its own deadline on receipt.
 	DeadlineNanos int64
-	SQL           string      // MsgExec, MsgPrepare
-	Handle        uint64      // MsgExecute, MsgCloseStmt
-	Args          []wireValue // MsgExec, MsgExecute
+	// BeginHandle, when non-zero (MsgExec, MsgExecute), names a prepared
+	// BEGIN the server runs immediately before the statement: the pipelined
+	// BEGIN of a transaction's first statement.
+	BeginHandle uint64
+	SQL         string      // MsgExec, MsgPrepare
+	Handle      uint64      // MsgExecute, MsgCloseStmt
+	Args        []wireValue // MsgExec, MsgExecute
 	// TraceID is the client-minted statement trace ID (MsgExec, MsgExecute;
 	// 0 = let the server mint one). The server threads it through the
 	// executor so spans recorded deep in storage carry the client's ID.
@@ -150,14 +173,20 @@ type request struct {
 
 // response is one server->client message.
 type response struct {
-	Code  ErrorCode
-	Error string // set when Code != CodeOK
+	Code ErrorCode
+	// Status is the session's transaction state after the request, error or
+	// not: a failed statement inside a transaction aborts it.
+	Status SessionStatus
+	Error  string // set when Code != CodeOK
 	// RetryAfterNanos is the server's backoff hint for retryable-after-backoff
 	// failures (Code != CodeOK only; 0 = no hint). Clients floor their own
 	// jittered backoff at this value rather than obeying it exactly.
 	RetryAfterNanos int64
-	Handle       uint64 // set for MsgPrepare responses
-	NumParams    int    // set for MsgPrepare responses
+	Handle          uint64 // set for MsgPrepare responses
+	NumParams       int    // set for MsgPrepare responses
+	// Begins marks a prepared statement that opens a transaction (MsgPrepare
+	// responses), which the client may pipeline.
+	Begins       bool
 	Columns      []string
 	Rows         [][]wireValue
 	RowsAffected int64

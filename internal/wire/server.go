@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -235,13 +234,16 @@ func (s *Server) handle(conn net.Conn) {
 	stmts := make(map[uint64]*sqlexec.Prepared)
 	var nextHandle uint64
 
-	r := bufio.NewReader(conn)
+	fr := frameReader{r: bufio.NewReader(conn)}
 	w := bufio.NewWriter(conn)
-	// buf is reused across responses to keep the steady-state write path
-	// allocation-free.
+	// req, args, rows and buf are reused across requests to keep the
+	// steady-state read and write paths allocation-free.
+	var req request
+	var args []storage.Value
+	var rows rowBuf
 	var buf []byte
 	for {
-		body, err := readFrame(r)
+		body, err := fr.next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isConnReset(err) {
 				s.logf("wire: read: %v", err)
@@ -261,9 +263,8 @@ func (s *Server) handle(conn net.Conn) {
 		if !s.beginStatement(st) {
 			return
 		}
-		mBytesRead.Add(uint64(len(body)) + 4)
-		req, err := decodeRequest(body)
-		if err != nil {
+		mBytesRead.Add(uint64(len(body)) + frameHeader)
+		if err := decodeRequest(body, &req); err != nil {
 			// An undecodable frame means the stream is unframed garbage; no
 			// reply can be trusted to line up, so drop the connection.
 			s.logf("wire: decode: %v", err)
@@ -274,82 +275,30 @@ func (s *Server) handle(conn net.Conn) {
 
 		var resp response
 		switch req.Type {
-		case MsgExec:
-			if fr := s.execFault(session, &resp, req.TraceID); fr {
-				break
+		case MsgExec, MsgExecute:
+			args = args[:0]
+			for _, a := range req.Args {
+				args = append(args, fromWire(a))
 			}
-			if err := s.admit(req.DeadlineNanos); err != nil {
-				// Like any statement error, a shed aborts the session's open
-				// transaction; the client's replay logic sees consistent state.
-				session.Reset()
-				fillResult(&resp, nil, err)
-				break
-			}
-			session.BeginTrace(req.TraceID)
-			ctx, cancel := deadlineCtx(req.DeadlineNanos)
-			args := make([]storage.Value, len(req.Args))
-			for i, a := range req.Args {
-				args[i] = fromWire(a)
-			}
-			var res *sqlexec.Result
-			execStart := time.Now()
-			p, err := s.cache.Get(session, req.SQL)
-			if err == nil {
-				res, err = session.ExecutePreparedContext(ctx, p, args...)
-				s.finishExec(session, req.SQL, &resp, time.Since(execStart))
-			}
-			cancel()
-			s.admitDone(time.Since(execStart))
-			fillResult(&resp, res, err)
+			res, err := s.execute(session, stmts, &req, args, &resp)
+			clear(args)
+			fillResult(&resp, res, err, &rows)
 		case MsgPrepare:
 			p, err := s.cache.Get(session, req.SQL)
 			if err != nil {
-				fillResult(&resp, nil, err)
+				fillResult(&resp, nil, err, nil)
 				break
 			}
 			nextHandle++
 			stmts[nextHandle] = p
 			resp.Handle = nextHandle
 			resp.NumParams = p.NumParams()
-		case MsgExecute:
-			if fr := s.execFault(session, &resp, req.TraceID); fr {
-				break
-			}
-			p, ok := stmts[req.Handle]
-			if !ok {
-				fillResult(&resp, nil, fmt.Errorf("wire: unknown statement handle %d", req.Handle))
-				break
-			}
-			if err := s.admit(req.DeadlineNanos); err != nil {
-				session.Reset()
-				fillResult(&resp, nil, err)
-				break
-			}
-			session.BeginTrace(req.TraceID)
-			ctx, cancel := deadlineCtx(req.DeadlineNanos)
-			// Refresh DDL-invalidated plans in the handle table so the
-			// re-parse happens once, not per execution.
-			if fresh, err := session.Refreshed(p); err != nil {
-				cancel()
-				s.admitDone(0)
-				fillResult(&resp, nil, err)
-				break
-			} else if fresh != p {
-				stmts[req.Handle] = fresh
-				p = fresh
-			}
-			args := make([]storage.Value, len(req.Args))
-			for i, a := range req.Args {
-				args[i] = fromWire(a)
-			}
-			execStart := time.Now()
-			res, err := session.ExecutePreparedContext(ctx, p, args...)
-			s.finishExec(session, p.SQL(), &resp, time.Since(execStart))
-			cancel()
-			s.admitDone(time.Since(execStart))
-			fillResult(&resp, res, err)
+			resp.Begins = p.Begins()
 		case MsgCloseStmt:
 			delete(stmts, req.Handle)
+		}
+		if session.InTx() {
+			resp.Status = StatusInTx
 		}
 
 		requestCounter(req.Type).Inc()
@@ -363,11 +312,9 @@ func (s *Server) handle(conn net.Conn) {
 				// Emit a partial frame straight to the socket (bypassing the
 				// buffered writer) and sever: the client must detect the
 				// mid-frame cut rather than hang or misparse.
-				buf = encodeResponse(buf[:0], &resp)
-				var hdr [4]byte
-				binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
-				conn.Write(hdr[:])
-				conn.Write(buf[:len(buf)/2])
+				buf = encodeResponse(startFrame(buf), &resp)
+				endFrame(buf)
+				conn.Write(buf[:frameHeader+(len(buf)-frameHeader)/2])
 				s.endStatement(st)
 				return
 			default:
@@ -375,13 +322,17 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		}
-		buf = encodeResponse(buf[:0], &resp)
-		if err := writeFrame(w, buf); err != nil {
+		buf = encodeResponse(startFrame(buf), &resp)
+		if err := endFrame(buf); err != nil {
 			s.logf("wire: write: %v", err)
 			s.endStatement(st)
 			return
 		}
-		mBytesWritten.Add(uint64(len(buf)) + 4)
+		mBytesWritten.Add(uint64(len(buf)))
+		if _, err := w.Write(buf); err != nil {
+			s.endStatement(st)
+			return
+		}
 		if err := w.Flush(); err != nil {
 			s.endStatement(st)
 			return
@@ -392,34 +343,30 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// execFault consults the pre-execution injection point. It reports true when
-// a failing fault was injected (resp is then filled with its error); drop
-// faults are reported as a generic injected failure response rather than a
-// severed connection so that pre-execution drops stay request-path-safe for
-// the client's retry logic.
-func (s *Server) execFault(session *sqlexec.Session, resp *response, traceID uint64) bool {
+// execFault consults the pre-execution injection point and returns the
+// error of a failing fault. Drop faults are reported as a generic injected
+// failure rather than a severed connection so that pre-execution drops stay
+// request-path-safe for the client's retry logic.
+func (s *Server) execFault(session *sqlexec.Session, traceID uint64) error {
 	f := s.inj.EvalTraced(faultinject.PointServerExec, traceID)
 	if f == nil {
-		return false
+		return nil
 	}
+	var err error
 	switch f.Kind {
 	case faultinject.KindLatency:
 		time.Sleep(f.Latency)
-		return false
 	case faultinject.KindDrop, faultinject.KindTruncate:
+		err = fmt.Errorf("%w: statement rejected before execution", faultinject.ErrInjected)
+	default:
+		err = f.Error()
+	}
+	if err != nil {
 		// A statement error — injected or not — aborts the session's open
 		// transaction, so the client's replay logic sees consistent state.
 		session.Reset()
-		fillResult(resp, nil, fmt.Errorf("%w: statement rejected before execution", faultinject.ErrInjected))
-		return true
-	default:
-		if err := f.Error(); err != nil {
-			session.Reset()
-			fillResult(resp, nil, err)
-			return true
-		}
-		return false
 	}
+	return err
 }
 
 // finishExec stamps the response with the session's statement trace (the
@@ -436,19 +383,89 @@ func (s *Server) finishExec(session *sqlexec.Session, sql string, resp *response
 	}
 }
 
-// deadlineCtx builds the execution context for a statement's relative time
-// budget: (nil, no-op) when unbounded. An already-spent budget simply yields
-// an expired context, which the executor refuses before touching any data.
-func deadlineCtx(nanos int64) (context.Context, context.CancelFunc) {
-	if nanos <= 0 {
-		return nil, func() {}
+// execute serves MsgExec and MsgExecute: the pre-execution fault point, the
+// admission ticket and the statement deadline are taken once per frame and
+// cover the frame's begin prefix, when it has one, as well as the statement.
+// A prefix BEGIN that fails answers with its own error; the statement never
+// runs. resp receives the statement's trace.
+func (s *Server) execute(session *sqlexec.Session, stmts map[uint64]*sqlexec.Prepared, req *request, args []storage.Value, resp *response) (*sqlexec.Result, error) {
+	if err := s.execFault(session, req.TraceID); err != nil {
+		return nil, err
 	}
-	// Re-anchor the relative budget to the server's clock.
-	return context.WithDeadline(context.Background(), time.Now().Add(time.Duration(nanos)))
+	if req.Type == MsgExecute && stmts[req.Handle] == nil {
+		return nil, fmt.Errorf("wire: unknown statement handle %d", req.Handle)
+	}
+	if req.BeginHandle != 0 {
+		if bp := stmts[req.BeginHandle]; bp == nil || !bp.Begins() {
+			return nil, fmt.Errorf("wire: begin prefix %d is not a prepared BEGIN", req.BeginHandle)
+		}
+	}
+	if err := s.admit(req.DeadlineNanos); err != nil {
+		// Like any statement error, a shed aborts the session's open
+		// transaction; the client's replay logic sees consistent state.
+		session.Reset()
+		return nil, err
+	}
+	// Re-anchor the relative budget to the server's clock. A spent budget is
+	// a deadline already passed, which the executor refuses before touching
+	// any data.
+	var dl time.Time
+	if req.DeadlineNanos > 0 {
+		dl = time.Now().Add(time.Duration(req.DeadlineNanos))
+	}
+	execStart := time.Now()
+	if req.BeginHandle != 0 {
+		session.BeginTrace(req.TraceID)
+		p, err := refreshed(session, stmts, req.BeginHandle)
+		if err == nil {
+			_, err = session.ExecutePreparedDeadline(dl, p)
+		}
+		if err != nil {
+			s.admitDone(time.Since(execStart))
+			return nil, err
+		}
+	}
+	session.BeginTrace(req.TraceID)
+	var p *sqlexec.Prepared
+	var err error
+	if req.Type == MsgExec {
+		p, err = s.cache.Get(session, req.SQL)
+	} else {
+		// Refresh DDL-invalidated plans in the handle table so the re-parse
+		// happens once, not per execution.
+		p, err = refreshed(session, stmts, req.Handle)
+	}
+	var res *sqlexec.Result
+	if err == nil {
+		res, err = session.ExecutePreparedDeadline(dl, p, args...)
+		s.finishExec(session, p.SQL(), resp, time.Since(execStart))
+	}
+	s.admitDone(time.Since(execStart))
+	return res, err
 }
 
-// fillResult populates a response from an execution outcome.
-func fillResult(resp *response, res *sqlexec.Result, err error) {
+// refreshed returns the current plan for a handle, replacing a plan that DDL
+// has invalidated in the handle table.
+func refreshed(session *sqlexec.Session, stmts map[uint64]*sqlexec.Prepared, h uint64) (*sqlexec.Prepared, error) {
+	p, err := session.Refreshed(stmts[h])
+	if err == nil {
+		stmts[h] = p
+	}
+	return p, err
+}
+
+// rowBuf is a connection's reused storage for response rows.
+type rowBuf struct {
+	rows  [][]wireValue
+	cells []wireValue
+}
+
+// maxKeptCells bounds the row storage a connection keeps between responses.
+const maxKeptCells = 4096
+
+// fillResult populates a response from an execution outcome. Rows are built
+// in buf (nil: freshly allocated), valid until its next use.
+func fillResult(resp *response, res *sqlexec.Result, err error, buf *rowBuf) {
 	resp.Code = codeOf(err)
 	if err != nil {
 		resp.Error = err.Error()
@@ -460,16 +477,27 @@ func fillResult(resp *response, res *sqlexec.Result, err error) {
 	resp.Columns = res.Columns
 	resp.RowsAffected = res.RowsAffected
 	resp.LastInsertID = res.LastInsertID
-	if len(res.Rows) > 0 {
-		resp.Rows = make([][]wireValue, len(res.Rows))
-		for i, row := range res.Rows {
-			wr := make([]wireValue, len(row))
-			for j, v := range row {
-				wr[j] = toWire(v)
-			}
-			resp.Rows[i] = wr
-		}
+	if len(res.Rows) == 0 {
+		return
 	}
+	if buf == nil {
+		buf = new(rowBuf)
+	}
+	if cap(buf.cells) > maxKeptCells {
+		*buf = rowBuf{}
+	}
+	rows, cells := buf.rows[:0], buf.cells[:0]
+	for _, row := range res.Rows {
+		start := len(cells)
+		for _, v := range row {
+			cells = append(cells, toWire(v))
+		}
+		// A row keeps pointing at the array it was written to even if a
+		// later append moves cells.
+		rows = append(rows, cells[start:len(cells):len(cells)])
+	}
+	buf.rows, buf.cells = rows, cells
+	resp.Rows = rows
 }
 
 func isConnReset(err error) bool {

@@ -233,12 +233,12 @@ func TestFrameCodec(t *testing.T) {
 	if err := writeFrame(&buf, encodeRequest(nil, &in)); err != nil {
 		t.Fatal(err)
 	}
-	body, err := readFrame(&buf)
+	body, err := (&frameReader{r: &buf}).next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeRequest(body)
-	if err != nil {
+	out := new(request)
+	if err := decodeRequest(body, out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Type != MsgExec || out.SQL != in.SQL || len(out.Args) != 1 || fromWire(out.Args[0]).I != 7 {
@@ -249,7 +249,7 @@ func TestFrameCodec(t *testing.T) {
 func TestFrameSizeLimit(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // absurd length prefix
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := (&frameReader{r: &buf}).next(); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -269,7 +269,7 @@ func TestWriteFrameRejectsOversizedBeforeHeader(t *testing.T) {
 	if err := writeFrame(&buf, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	body, err := readFrame(&buf)
+	body, err := (&frameReader{r: &buf}).next()
 	if err != nil || len(body) != 3 {
 		t.Fatalf("stream desynced after rejection: %v %v", body, err)
 	}
