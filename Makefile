@@ -1,6 +1,6 @@
 GO ?= go
 BENCH ?= BENCH_3.json
-BENCH_COMMIT ?= BENCH_6.json
+BENCH_COMMIT ?= BENCH_commit.json
 BENCH_LIVECHECK ?= BENCH_9.json
 BENCH_SCAN ?= BENCH_scan.txt
 
@@ -72,11 +72,16 @@ overload-smoke:
 # untrusted JSONL straight into the dependency graph. The wire request and
 # response decoders (one frame body per message type, under
 # internal/wire/testdata/fuzz): decoding must not panic and a decoded message
-# must re-encode to a body that round-trips. go test fuzzes one target per run.
+# must re-encode to a body that round-trips. WAL recovery (a recorded log with
+# DDL, plain and group commit frames, plus damaged variants, under
+# internal/storage/testdata/fuzz): OpenDir must not panic, and a reopen must
+# see the same rows and integrity verdict as the first open. go test fuzzes
+# one target per run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadJSONL -fuzztime=10s ./internal/histcheck
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzRecoverWAL$$' -fuzztime=10s ./internal/storage
 
 # lint runs go vet always and staticcheck when the binary is present (the CI
 # lint job installs it; locally the target degrades to vet alone).
@@ -117,12 +122,12 @@ profile:
 	@echo "wrote profiles/cpu.pprof and profiles/heap.pprof"
 
 # profile-mutex captures mutex-contention and CPU profiles of the hottest
-# commit-pipeline cell (pipeline mode, sync=always, 8 committers) — the view
+# commit-pipeline cell (sync=always, 8 committers) — the view
 # that shows where commit-path serialization remains. Inspect with
 # `go tool pprof profiles/commit-mutex.pprof`.
 profile-mutex:
 	mkdir -p profiles
-	$(GO) test -bench 'BenchmarkCommitThroughput/mode=pipeline/sync=always/goroutines=8$$' \
+	$(GO) test -bench 'BenchmarkCommitThroughput/sync=always/goroutines=8$$' \
 		-run '^$$' -benchtime=2s -timeout 10m \
 		-mutexprofile profiles/commit-mutex.pprof -cpuprofile profiles/commit-cpu.pprof .
 	@echo "wrote profiles/commit-mutex.pprof and profiles/commit-cpu.pprof"
@@ -133,10 +138,10 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' -json . > $(BENCH)
 
 # bench-commit records the commit-throughput curve (BenchmarkCommitThroughput:
-# serial vs pipeline commit path x sync policy x committer count, with p99
-# commit latency) — the headline artifact for the staged commit pipeline. The
-# serial cells are the pre-pipeline baseline (Options.SerialCommit), so the
-# one file carries both sides of the comparison.
+# sync policy x committer count, with p99 commit latency) — the headline
+# artifact for the commit pipeline's leader/follower group commit.
+# BENCH_6.json keeps the historical serial-vs-pipeline grid from before the
+# serial commit path was removed.
 bench-commit:
 	$(GO) test -bench BenchmarkCommitThroughput -run '^$$' -benchtime=1s -timeout 30m -json . > $(BENCH_COMMIT)
 

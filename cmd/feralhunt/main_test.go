@@ -35,7 +35,7 @@ func TestHuntSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := hunt(w, tc.level, false, 100, 1, "any")
+		res, err := hunt(w, tc.level, 100, 1, "any")
 		if err != nil {
 			t.Fatalf("%s@%s: %v", tc.workload, tc.level, err)
 		}
@@ -74,7 +74,7 @@ func TestHuntSmoke(t *testing.T) {
 		if testing.Short() {
 			budget = 10
 		}
-		res, err := hunt(w, storage.Serializable, false, budget, 1, "any")
+		res, err := hunt(w, storage.Serializable, budget, 1, "any")
 		if err != nil {
 			t.Fatalf("%s@SERIALIZABLE: %v", name, err)
 		}
@@ -156,7 +156,7 @@ task
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hunt(w, storage.ReadCommitted, false, 100, 1, "any")
+	res, err := hunt(w, storage.ReadCommitted, 100, 1, "any")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ task
 		Task: 0, Point: storage.YieldCommit,
 		Until: sched.Until{Task: 1, Point: storage.YieldCommit},
 	}}}
-	res, err := experiment.RunHuntSchedule(w, storage.ReadCommitted, sc, false)
+	res, err := experiment.RunHuntSchedule(w, storage.ReadCommitted, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

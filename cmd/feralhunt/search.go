@@ -49,7 +49,7 @@ type outcome struct {
 
 // hunt runs the bounded search. target restricts what counts as a find
 // ("any", a histcheck class name, or "invariant").
-func hunt(w experiment.HuntWorkload, level storage.IsolationLevel, serial bool, budget int, seed int64, target string) (*outcome, error) {
+func hunt(w experiment.HuntWorkload, level storage.IsolationLevel, budget int, seed int64, target string) (*outcome, error) {
 	out := &outcome{}
 	tried := map[string]bool{}
 	var queue []sched.Schedule
@@ -107,7 +107,7 @@ func hunt(w experiment.HuntWorkload, level storage.IsolationLevel, serial bool, 
 		default:
 			sc = sched.RandomSchedule(seed+int64(i), len(w.Tasks), 20, 3)
 		}
-		res, err := experiment.RunHuntSchedule(w, level, sc, serial)
+		res, err := experiment.RunHuntSchedule(w, level, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -137,9 +137,9 @@ func hunt(w experiment.HuntWorkload, level storage.IsolationLevel, serial bool, 
 
 // stressBaseline reruns the workload unscheduled until the target shows up or
 // runs are exhausted, returning how many runs it took (0 = never found).
-func stressBaseline(w experiment.HuntWorkload, level storage.IsolationLevel, serial bool, runs int, target string) (int, error) {
+func stressBaseline(w experiment.HuntWorkload, level storage.IsolationLevel, runs int, target string) (int, error) {
 	for i := 1; i <= runs; i++ {
-		res, err := experiment.RunHuntStress(w, level, serial)
+		res, err := experiment.RunHuntStress(w, level)
 		if err != nil {
 			return 0, err
 		}
@@ -163,7 +163,6 @@ func stressBaseline(w experiment.HuntWorkload, level storage.IsolationLevel, ser
 type certificate struct {
 	Workload  string `json:"workload"`
 	Level     string `json:"level"`
-	Serial    bool   `json:"serial"`
 	Verdict   string `json:"verdict"`
 	Schedules int    `json:"schedules"`
 	Directed  int    `json:"directed"`
@@ -171,11 +170,10 @@ type certificate struct {
 	Target    string `json:"target"`
 }
 
-func newCertificate(w experiment.HuntWorkload, level storage.IsolationLevel, serial bool, out *outcome, seed int64, target string) certificate {
+func newCertificate(w experiment.HuntWorkload, level storage.IsolationLevel, out *outcome, seed int64, target string) certificate {
 	return certificate{
 		Workload:  w.Name,
 		Level:     level.String(),
-		Serial:    serial,
 		Verdict:   "no-anomaly",
 		Schedules: out.Schedules,
 		Directed:  out.Directed,
@@ -186,10 +184,10 @@ func newCertificate(w experiment.HuntWorkload, level storage.IsolationLevel, ser
 
 // witnessHeader renders the provenance comment lines prepended to a witness
 // JSONL file; feralcheck skips them on replay.
-func witnessHeader(w experiment.HuntWorkload, level storage.IsolationLevel, serial bool, out *outcome) []string {
+func witnessHeader(w experiment.HuntWorkload, level storage.IsolationLevel, out *outcome) []string {
 	lines := []string{
 		"# feralhunt witness",
-		fmt.Sprintf("# workload=%s level=%s serial=%v", w.Name, level, serial),
+		fmt.Sprintf("# workload=%s level=%s", w.Name, level),
 		fmt.Sprintf("# anomaly=%s schedules=%d directed=%d", out.Class, out.Schedules, out.Directed),
 		fmt.Sprintf("# schedule: %s", out.Schedule),
 	}

@@ -50,8 +50,8 @@ type HuntWorkload struct {
 
 // HuntResult is one scheduled execution of a workload.
 type HuntResult struct {
-	Events  []histcheck.Event
-	Report  *histcheck.Report
+	Events []histcheck.Event
+	Report *histcheck.Report
 	// TxTask maps transaction ids in Events to the task index that ran them.
 	TxTask map[uint64]int
 	// TaskErrs holds each task's transaction outcome (nil = committed).
@@ -78,15 +78,12 @@ func (r *HuntResult) Anomalies() []string {
 	return out
 }
 
-// RunHuntSchedule executes workload w at level under schedule sc. serial
-// selects Options.SerialCommit (the commit-pipeline ablation); the anomaly
-// vocabulary must not depend on it, which TestHuntCommitPipelineParity pins.
-func RunHuntSchedule(w HuntWorkload, level storage.IsolationLevel, sc sched.Schedule, serial bool) (*HuntResult, error) {
+// RunHuntSchedule executes workload w at level under schedule sc.
+func RunHuntSchedule(w HuntWorkload, level storage.IsolationLevel, sc sched.Schedule) (*HuntResult, error) {
 	s := sched.New(len(w.Tasks), sc)
 	opts := storage.Options{
 		DefaultIsolation: level,
 		RecordHistory:    true,
-		SerialCommit:     serial,
 		Yielder:          s,
 	}
 	if w.Tune != nil {
@@ -132,11 +129,10 @@ func RunHuntSchedule(w HuntWorkload, level storage.IsolationLevel, sc sched.Sche
 // the hunter's baseline — how often wall-clock nondeterminism stumbles into
 // the anomaly that a directed schedule forces — so run summaries can report
 // the comparison the issue asks for.
-func RunHuntStress(w HuntWorkload, level storage.IsolationLevel, serial bool) (*HuntResult, error) {
+func RunHuntStress(w HuntWorkload, level storage.IsolationLevel) (*HuntResult, error) {
 	opts := storage.Options{
 		DefaultIsolation: level,
 		RecordHistory:    true,
-		SerialCommit:     serial,
 		LockTimeout:      50 * time.Millisecond,
 	}
 	if w.Tune != nil {

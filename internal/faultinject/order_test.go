@@ -34,7 +34,7 @@ func orderTestDB(t *testing.T, inj *faultinject.Injector) *storage.Database {
 
 // TestStatementPointOrder pins the cross-point evaluation order within one
 // committing statement: storage.commit (before validation), then
-// storage.wal.append (inside the log critical section), then
+// storage.wal.append (as the record joins the group-commit queue), then
 // storage.wal.fsync (SyncAlways). The order was previously unspecified; the
 // directed scheduler made it observable, so it is now contract. Latency
 // faults with zero delay fire at every point without failing anything, and

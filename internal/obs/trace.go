@@ -29,8 +29,8 @@ const (
 	// SpanCommitValidate covers commit-pipeline validation: latch waits,
 	// conflict checks, constraint verification, and conflict-retry loops.
 	SpanCommitValidate
-	// SpanCommitQueue covers time a commit record spent queued before the
-	// group-commit log writer picked it up into a batch.
+	// SpanCommitQueue covers time a commit record spent queued before a
+	// group-commit leader took it into a batch.
 	SpanCommitQueue
 	// SpanCommitFsyncWait covers time parked waiting for the batch holding
 	// this commit's record to become durable.

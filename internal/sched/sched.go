@@ -18,16 +18,16 @@
 //     declares a deadlock and wakes the lowest-index victim-eligible task
 //     with ErrDeadlockVictim; the engine converts that into its usual
 //     deadlock verdict (ErrLockTimeout).
-//   - ParkExternal(point): the task waits on an *unscheduled* goroutine (the
-//     group-commit log writer's fsync, a background syncer). Such tasks are
+//   - ParkExternal(point): the task waits on an *unscheduled* goroutine
+//     (setup code holding a table latch or the quiesce gate). Such tasks are
 //     always retryable — external progress is invisible to the epoch — with a
 //     tiny sleep when nothing else could run, so the spin is bounded.
 //
-// Determinism holds for workloads whose waits are all scheduler-visible: an
-// in-memory database under the scheduler produces byte-identical histories
-// for the same (seed, schedule). Durable runs (ParkExternal on real fsyncs)
-// remain schedulable and reproducible in anomaly-class terms, but wall-clock
-// fsync timing can shift which retry observes the completion.
+// Determinism holds for workloads whose waits are all scheduler-visible: a
+// database under the scheduler produces byte-identical histories for the same
+// (seed, schedule). That includes durable databases, whose group commit is
+// led by the committing tasks themselves: election happens at a yield point
+// and followers Park, so fsync timing decides nothing.
 package sched
 
 import (
@@ -273,7 +273,7 @@ func (s *Scheduler) Park(point string, victim bool) error {
 }
 
 // ParkExternal suspends the task pending progress by an unscheduled
-// goroutine (e.g. the group-commit writer). Such tasks stay retryable even
+// goroutine (e.g. setup code holding a latch). Such tasks stay retryable even
 // without scheduler-visible progress; when the retry was granted with no
 // progress since parking, a tiny sleep bounds the spin while the external
 // event completes in real time.

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"runtime"
 	"sort"
 	"strings"
@@ -12,11 +11,6 @@ import (
 	"feralcc/internal/obs"
 )
 
-// errPipelineClosed aborts commits whose WAL record was still queued when the
-// database shut down; like any WAL-stage failure, nothing was installed and
-// nothing was acknowledged.
-var errPipelineClosed = errors.New("storage: commit pipeline closed")
-
 // The commit pipeline replaces the old global commitMu critical section with
 // three stages:
 //
@@ -26,77 +20,106 @@ var errPipelineClosed = errors.New("storage: commit pipeline closed")
 // component of the transaction's write tables), so commits touching disjoint
 // table groups validate concurrently. A transaction that validates cleanly
 // registers a commit intent stamped with the next commit sequence number
-// (CSN); its WAL record is handed to a dedicated log-writer goroutine that
-// batches whatever is queued into one multi-transaction frame and amortizes a
-// single fsync over the batch. Finally versions are installed strictly in CSN
-// order — the clock publishes CSNs densely, so readers, histcheck's
-// install-order serialization graph, and recovery's committed-prefix replay
-// observe exactly the history a serial commit path would have produced.
+// (CSN), then its WAL record joins the group-commit queue. Group commit is
+// leader/follower and runs on the committing goroutines themselves, the
+// scheme of MySQL's binlog group commit and PostgreSQL's commit batching: a
+// committer that finds no leader active leads, writing every queued record
+// as one frame with one fsync, while committers that arrive meanwhile wait
+// as followers for their batch. Uncontended, a commit writes and syncs its
+// own frame inline. Finally versions are installed strictly in CSN order —
+// the clock publishes CSNs densely, so readers, histcheck's install-order
+// serialization graph, and recovery's committed-prefix replay observe
+// exactly the history a one-commit-at-a-time engine would have produced.
 //
 // Lock ordering: gate ≺ catalogMu ≺ registry mu ≺ activeMu, and table latches
-// are acquired in sorted name order. The old code took catalogMu before
-// commitMu in DDL but commitMu before catalogMu in Commit — a latent ABBA the
-// gate ordering removes.
+// are acquired in sorted name order. groupMu and then wal.mu are leaves: no
+// other lock is taken under them.
 type commitPipeline struct {
 	db *Database
 
 	// gate is the quiesce barrier. Commits hold it shared from validation
 	// through install; Checkpoint, Vacuum, AddIndex, AddForeignKey and
 	// CheckIntegrity take it exclusively, which drains the pipeline (every
-	// registered intent resolves before the writer can proceed).
+	// registered intent resolves before the exclusive holder proceeds).
 	gate sync.RWMutex
 
-	// Per-table validation/install latches, created on demand.
-	latchMu sync.Mutex
-	latches map[string]*sync.Mutex
+	// Per-table validation/install latches, created on demand, and the
+	// latch set of each table's FK-connected component, cached for the
+	// schema epoch compEpoch.
+	latchMu   sync.Mutex
+	latches   map[string]*sync.Mutex
+	comps     map[string]latchSet
+	compEpoch uint64
 
 	// Intent registry. csn is the last assigned sequence number, installed
 	// the last resolved one; every CSN in between is a pending intent that
-	// will install (or consume its turn aborting) in order.
+	// will install (or consume its turn aborting) in order. pending holds
+	// them in CSN order: intents resolve strictly in order, so the oldest is
+	// always pending[0].
 	mu        sync.Mutex
-	cond      *sync.Cond // broadcast when installed advances
+	cond      *sync.Cond // broadcast when installed advances, for conflict waits
 	csn       uint64
 	installed uint64
-	pending   map[uint64]*commitIntent
+	pending   []*commitIntent
+	npending  atomic.Int64 // len(pending), readable without mu
 
-	// Group-commit writer plumbing; unused (nil subCh) without a WAL.
-	subCh  chan *walSubmission
-	stopCh chan struct{}
-	doneCh chan struct{}
+	// Group commit. groupMu guards queue (records waiting for a leader),
+	// spare (the recycled batch buffer), leading, lastBatch (the size of the
+	// last frame), and the done flag of every queued record.
+	groupMu   sync.Mutex
+	queue     []*walRecord
+	spare     []*walRecord
+	leading   bool
+	lastBatch int
 
 	// Fsync-amortization bookkeeping for the fsyncs-per-commit gauge.
 	groupFsyncs uint64 // atomic
 	groupTxns   uint64 // atomic
 
-	// queueDepth counts submissions handed to the writer and not yet durable
-	// (mirrors mCommitQueueDepth as a readable value); submit sheds against
+	// queueDepth counts records queued and not yet durable (mirrors
+	// mCommitQueueDepth as a readable value); submit sheds against
 	// Options.CommitQueueBound using it.
 	queueDepth int64 // atomic
 }
 
 // commitIntent is a validated-but-not-yet-installed commit. Its summary is
 // the same footprint recorded for serializable certification; later
-// validators test their own footprints against it and wait on done when they
-// overlap.
+// validators test their own footprints against it and, when they overlap,
+// wait for its CSN to resolve.
 type commitIntent struct {
 	csn     uint64
 	summary *txSummary
-	done    chan struct{} // closed once installed or aborted
+	turn    sync.Cond // signaled when csn-1 resolves; L is the registry mu
 }
 
-// walSubmission is one commit record queued for the group-commit writer.
-type walSubmission struct {
-	payload  []byte
-	tr       *obs.StmtTrace
-	enqueued time.Time
-	res      chan error // buffered(1); one send per submission
+// commitState is the pipeline state of one writing commit: its intent and its
+// log record. Committers borrow it from commitStates for the length of the
+// commit, so the commit path allocates neither and transactions that never
+// commit carry neither.
+type commitState struct {
+	intent commitIntent
+	rec    walRecord
 }
+
+var commitStates = sync.Pool{New: func() any { return new(commitState) }}
+
+// release clears the state, dropping its references into the finished
+// commit, and returns it to the pool. By then the intent has left the
+// pending set and the record every group-commit queue and batch.
+func (cs *commitState) release() {
+	cs.intent = commitIntent{}
+	cs.rec = walRecord{}
+	commitStates.Put(cs)
+}
+
+// latchSet is the sorted latch list of one FK-connected table component.
+type latchSet []*sync.Mutex
 
 func newCommitPipeline(db *Database) *commitPipeline {
 	p := &commitPipeline{
 		db:      db,
 		latches: make(map[string]*sync.Mutex),
-		pending: make(map[uint64]*commitIntent),
+		comps:   make(map[string]latchSet),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -111,33 +134,49 @@ func (p *commitPipeline) setBase(clock uint64) {
 	p.mu.Unlock()
 }
 
-// startWriter launches the group-commit log writer goroutine.
-func (p *commitPipeline) startWriter(w *wal) {
-	p.subCh = make(chan *walSubmission, 256)
-	p.stopCh = make(chan struct{})
-	p.doneCh = make(chan struct{})
-	go p.writerLoop(w)
-}
-
-// stopWriter shuts the writer down, failing any queued submissions.
-func (p *commitPipeline) stopWriter() {
-	if p.subCh == nil {
-		return
-	}
-	close(p.stopCh)
-	<-p.doneCh
-}
-
-// latchFor returns the sorted latch set for a commit: the transaction's write
+// latchFor returns the latch set for a commit: the transaction's write
 // tables plus every table reachable over foreign-key edges in either
 // direction. Cascade expansion only ever adds writes within this component,
 // and FK/unique probes only consult tables in it, so holding these latches
 // makes validation and install mutually atomic per component. AddForeignKey
 // runs under the exclusive gate, so the edge set cannot change while any
-// commit is in flight.
-func (p *commitPipeline) latchFor(writes map[string]map[RowID]*txWrite) []string {
+// commit is in flight. A single-table write set — the common case — reuses
+// its table's cached component.
+func (p *commitPipeline) latchFor(writes map[string]map[RowID]*txWrite) latchSet {
+	if len(writes) != 1 {
+		s, _ := p.buildLatchSet(writes)
+		return s
+	}
+	var table string
+	for lower := range writes {
+		table = lower
+	}
+	epoch := p.db.SchemaEpoch()
+	p.latchMu.Lock()
+	s, ok := p.comps[table]
+	fresh := p.compEpoch == epoch
+	p.latchMu.Unlock()
+	if ok && fresh {
+		return s
+	}
+	s, epoch = p.buildLatchSet(writes)
+	p.latchMu.Lock()
+	if p.compEpoch != epoch {
+		clear(p.comps)
+		p.compEpoch = epoch
+	}
+	p.comps[table] = s
+	p.latchMu.Unlock()
+	return s
+}
+
+// buildLatchSet walks the FK graph from the write tables and returns the
+// component's latches in sorted name order, with the schema epoch the walk
+// observed.
+func (p *commitPipeline) buildLatchSet(writes map[string]map[RowID]*txWrite) (latchSet, uint64) {
 	db := p.db
 	db.catalogMu.RLock()
+	epoch := db.SchemaEpoch()
 	seen := make(map[string]struct{}, len(writes)+2)
 	queue := make([]string, 0, len(writes)+2)
 	for lower := range writes {
@@ -171,35 +210,43 @@ func (p *commitPipeline) latchFor(writes map[string]map[RowID]*txWrite) []string
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return names
-}
-
-// latch acquires the named table latches; names must be sorted.
-func (p *commitPipeline) latch(names []string) []*sync.Mutex {
-	y := p.db.opts.Yielder
-	ms := make([]*sync.Mutex, len(names))
+	s := make(latchSet, len(names))
+	p.latchMu.Lock()
 	for i, name := range names {
-		p.latchMu.Lock()
 		m := p.latches[name]
 		if m == nil {
 			m = new(sync.Mutex)
 			p.latches[name] = m
 		}
-		p.latchMu.Unlock()
+		s[i] = m
+	}
+	p.latchMu.Unlock()
+	return s, epoch
+}
+
+// latch acquires a latch set in its sorted order.
+func (p *commitPipeline) latch(s latchSet) {
+	y := p.db.opts.Yielder
+	for _, m := range s {
 		if y != nil {
 			// Under the scheduler the single baton makes latch contention
 			// impossible between scheduled tasks (no yield point sits inside a
-			// latched section), but an unscheduled background goroutine could
-			// still hold one — spin via ParkExternal rather than block.
+			// latched section), but an unscheduled goroutine could still hold
+			// one — spin via ParkExternal rather than block.
 			for !m.TryLock() {
 				y.ParkExternal(ParkLatch)
 			}
 		} else {
 			m.Lock()
 		}
-		ms[i] = m
 	}
-	return ms
+}
+
+// unlatch releases a latch set in reverse acquisition order.
+func (p *commitPipeline) unlatch(s latchSet) {
+	for i := len(s) - 1; i >= 0; i-- {
+		s[i].Unlock()
+	}
 }
 
 // gateLock and gateRLock acquire the quiesce gate, parking instead of blocking
@@ -226,11 +273,13 @@ func (p *commitPipeline) gateRLock() {
 	p.gate.RLock()
 }
 
-// unlatch releases latches in reverse acquisition order.
-func (p *commitPipeline) unlatch(ms []*sync.Mutex) {
-	for i := len(ms) - 1; i >= 0; i-- {
-		ms[i].Unlock()
-	}
+// hasPending reports whether any commit intent is registered and unresolved.
+// Validation records its probes only when one is: a commit's latches keep
+// every other intent of its component from registering until it has
+// registered itself, and intents of other components cannot overlap its
+// probes, so with no intent pending the probes could never conflict.
+func (p *commitPipeline) hasPending() bool {
+	return p.npending.Load() > 0
 }
 
 // register decides a validated transaction's fate against the in-flight
@@ -243,39 +292,38 @@ func (p *commitPipeline) unlatch(ms []*sync.Mutex) {
 // carry the full write fan-out, so any probe or read that a pending install
 // could invalidate does overlap.
 //
-// Outcomes: a conflict with pending intents returns their done channels (the
-// caller waits and revalidates); a serializable certification failure returns
-// the error; otherwise the next CSN is assigned and the intent registered.
-// Certification runs here, under the registry lock, because an installing
-// commit publishes its summary (recordCommit) before leaving the pending set:
-// any summary missed by this scan is still pending and caught by the
-// footprint check.
-func (p *commitPipeline) register(tx *Tx, summary *txSummary) (*commitIntent, []chan struct{}, error) {
+// Outcomes: a conflict with pending intents returns the highest conflicting
+// CSN (the caller waits for it to resolve and revalidates); a serializable
+// certification failure returns the error; otherwise the next CSN is assigned
+// and in filled and registered, and the result is 0. Certification runs here,
+// under the registry lock, because an installing commit publishes its summary
+// (recordCommit) before leaving the pending set: any summary missed by this
+// scan is still pending and caught by the footprint check.
+func (p *commitPipeline) register(tx *Tx, summary *txSummary, in *commitIntent) (uint64, error) {
 	rows := summary.rowKeys
 	preds := tx.probes
 	p.mu.Lock()
-	var waits []chan struct{}
-	for _, in := range p.pending {
-		if intentConflicts(in, rows, tx.readRows, preds, tx.readPreds) {
-			waits = append(waits, in.done)
+	defer p.mu.Unlock()
+	var wait uint64
+	for _, other := range p.pending {
+		if other.csn > wait && intentConflicts(other, rows, tx.readRows, preds, tx.readPreds) {
+			wait = other.csn
 		}
 	}
-	if len(waits) > 0 {
-		p.mu.Unlock()
-		return nil, waits, nil
+	if wait > 0 {
+		return wait, nil
 	}
 	if tx.level.certifiesReads() {
 		if err := tx.certify(); err != nil {
-			p.mu.Unlock()
-			return nil, nil, err
+			return 0, err
 		}
 	}
 	p.csn++
 	summary.commitTS = p.csn
-	in := &commitIntent{csn: p.csn, summary: summary, done: make(chan struct{})}
-	p.pending[in.csn] = in
-	p.mu.Unlock()
-	return in, nil, nil
+	*in = commitIntent{csn: p.csn, summary: summary, turn: sync.Cond{L: &p.mu}}
+	p.pending = append(p.pending, in)
+	p.npending.Add(1)
+	return 0, nil
 }
 
 // intentConflicts reports whether a pending intent's write footprint overlaps
@@ -305,8 +353,19 @@ func intentConflicts(in *commitIntent, rows, readRows, probes, readPreds map[str
 	return false
 }
 
-// awaitTurn blocks until every earlier CSN has installed or aborted.
-func (p *commitPipeline) awaitTurn(csn uint64) {
+// awaitInstalled blocks until every CSN up to csn has installed or aborted.
+// CSNs resolve strictly in order, so this waits out a conflicting intent.
+func (p *commitPipeline) awaitInstalled(csn uint64) {
+	p.mu.Lock()
+	for p.installed < csn {
+		p.cond.Wait()
+	}
+	p.mu.Unlock()
+}
+
+// awaitTurn blocks until every CSN before in's has installed or aborted.
+func (p *commitPipeline) awaitTurn(in *commitIntent) {
+	csn := in.csn
 	if y := p.db.opts.Yielder; y != nil {
 		// Scheduler mode: poll-and-park instead of cond.Wait, so the earlier
 		// CSN's holder can be granted the baton to take its turn. Not
@@ -323,41 +382,59 @@ func (p *commitPipeline) awaitTurn(csn uint64) {
 	}
 	p.mu.Lock()
 	for p.installed != csn-1 {
-		p.cond.Wait()
+		in.turn.Wait()
 	}
 	p.mu.Unlock()
 }
 
 // finish resolves an intent: it leaves the pending set, the install watermark
-// advances, and waiters are released. Caller must have consumed the intent's
-// install turn (awaitTurn) first.
+// advances, the next CSN's committer is handed its turn, and conflict
+// waiters are released. Caller must have consumed the intent's install turn
+// (awaitTurn) first, so in is the oldest pending intent.
 func (p *commitPipeline) finish(in *commitIntent) {
 	p.mu.Lock()
-	delete(p.pending, in.csn)
+	n := copy(p.pending, p.pending[1:])
+	p.pending[n] = nil
+	p.pending = p.pending[:n]
+	p.npending.Add(-1)
 	p.installed = in.csn
+	if n > 0 {
+		p.pending[0].turn.Signal()
+	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	close(in.done)
 }
 
 // abortIntent consumes an assigned CSN without installing anything (WAL
 // append/fsync failure after registration). The turn must still be taken so
 // later CSNs do not stall.
 func (p *commitPipeline) abortIntent(in *commitIntent) {
-	p.awaitTurn(in.csn)
+	p.awaitTurn(in)
 	p.finish(in)
 }
 
-// submit hands a commit record to the group-commit writer and blocks until
-// the record's batch is durable per the sync policy. With a CommitQueueBound
-// set, a submission that would push the queue past the bound is shed with
-// ErrOverloaded instead of enqueued: the caller's commit fails exactly like a
-// WAL-stage fault (nothing installed, nothing acknowledged, CSN turn
-// consumed by abortIntent), and the retry-after hint scales with the depth
-// the queue had reached.
-func (p *commitPipeline) submit(payload []byte, tr *obs.StmtTrace) error {
+// maxGroupBatch bounds transactions per group-commit frame, keeping frames
+// comfortably under walMaxRecord and p99 fsync-wait latency bounded.
+const maxGroupBatch = 128
+
+// submit is the group-commit WAL stage: it queues rec and returns once the
+// frame carrying it is durable per the sync policy, with that frame's
+// outcome. The wal.append fault point fires first, for this record alone; a
+// fault never queues it. With a CommitQueueBound set, a record that would
+// push the queue past the bound is shed with ErrOverloaded instead: the
+// caller's commit fails exactly like a WAL-stage fault (nothing installed,
+// nothing acknowledged, CSN turn consumed by abortIntent), and the
+// retry-after hint scales with the depth the queue had reached.
+//
+// Leader election follows queueing; under the scheduler the wal.append yield
+// point sits between them, so committers that reach it before a leader takes
+// the queue share that leader's frame. A committer that finds no leader active leads until its own
+// record is durable; one that finds a leader waits as a follower and, if its
+// record is still queued when leadership is handed off, takes over.
+func (p *commitPipeline) submit(rec *walRecord) error {
+	db := p.db
 	depth := atomic.AddInt64(&p.queueDepth, 1)
-	if b := p.db.opts.CommitQueueBound; b != 0 && (b < 0 || depth > int64(b)) {
+	if b := db.opts.CommitQueueBound; b != 0 && (b < 0 || depth > int64(b)) {
 		atomic.AddInt64(&p.queueDepth, -1)
 		mCommitSheds.Inc()
 		return &OverloadError{
@@ -365,120 +442,134 @@ func (p *commitPipeline) submit(payload []byte, tr *obs.StmtTrace) error {
 			RetryAfter: overloadRetryAfter(time.Duration(depth) * 100 * time.Microsecond),
 		}
 	}
-	s := &walSubmission{payload: payload, tr: tr, enqueued: time.Now(), res: make(chan error, 1)}
+	if err := db.wal.fault("wal.append"); err != nil {
+		atomic.AddInt64(&p.queueDepth, -1)
+		return err
+	}
 	mCommitQueueDepth.Inc()
-	select {
-	case p.subCh <- s:
-	case <-p.stopCh:
-		mCommitQueueDepth.Dec()
-		atomic.AddInt64(&p.queueDepth, -1)
-		return errPipelineClosed
+	rec.wake.L = &p.groupMu
+	rec.enqueued = time.Now()
+	p.groupMu.Lock()
+	rec.done = false
+	p.queue = append(p.queue, rec)
+	if db.opts.Yielder != nil {
+		p.groupMu.Unlock()
+		db.yield(YieldWALAppend)
+		p.groupMu.Lock()
 	}
-	if y := p.db.opts.Yielder; y != nil {
-		// The group-commit writer is an unscheduled goroutine; park externally
-		// between polls so it gets real CPU time to drain the batch.
-		for {
-			select {
-			case err := <-s.res:
-				return err
-			default:
-				y.ParkExternal(ParkFsyncWait)
-			}
+	for !rec.done && p.leading {
+		if y := db.opts.Yielder; y != nil {
+			// The leader is a scheduled task; park until it makes progress.
+			p.groupMu.Unlock()
+			_ = y.Park(ParkFsyncWait, false)
+			p.groupMu.Lock()
+			continue
 		}
+		rec.wake.Wait()
 	}
-	return <-s.res
+	if !rec.done {
+		p.lead(rec)
+	}
+	err := rec.err
+	p.groupMu.Unlock()
+	return err
 }
 
-// writerLoop is the dedicated log writer: it drains whatever submissions are
-// queued into one batch, writes them as a single frame, fsyncs once, and
-// releases the whole batch.
-func (p *commitPipeline) writerLoop(w *wal) {
-	defer close(p.doneCh)
-	for {
-		select {
-		case s := <-p.subCh:
-			p.writeBatch(w, p.drainBatch(s))
-		case <-p.stopCh:
-			for {
-				select {
-				case s := <-p.subCh:
-					mCommitQueueDepth.Dec()
-					atomic.AddInt64(&p.queueDepth, -1)
-					s.res <- errPipelineClosed
-				default:
-					return
-				}
-			}
+// lead runs the caller as group-commit leader until its own record is
+// durable: each round takes up to maxGroupBatch records from the head of the
+// queue, writes them as one frame without holding groupMu (followers keep
+// queueing meanwhile), and wakes the batch's followers. Leadership then
+// passes to the follower at the head of the queue, so the leader goes on to
+// its install turn instead of writing for commits ordered after its own.
+// Caller holds groupMu, which is held again on return.
+func (p *commitPipeline) lead(own *walRecord) {
+	p.leading = true
+	for !own.done {
+		p.linger()
+		n := min(len(p.queue), maxGroupBatch)
+		batch := append(p.spare[:0], p.queue[:n]...)
+		rest := copy(p.queue, p.queue[n:])
+		clear(p.queue[rest:])
+		p.queue = p.queue[:rest]
+		p.spare = nil
+		p.groupMu.Unlock()
+		p.writeBatch(batch)
+		p.groupMu.Lock()
+		for _, r := range batch {
+			r.done = true
+			r.wake.Signal()
 		}
+		p.lastBatch = len(batch)
+		clear(batch)
+		p.spare = batch[:0]
+	}
+	p.leading = false
+	if len(p.queue) > 0 {
+		p.queue[0].wake.Signal()
 	}
 }
 
-// maxGroupBatch bounds transactions per group-commit frame, keeping frames
-// comfortably under walMaxRecord and p99 fsync-wait latency bounded.
-const maxGroupBatch = 128
-
-// drainBatch collects the first submission plus everything else already
-// queued, up to the batch cap. Before paying for the fsync it lingers
-// briefly: committers that have validated but not yet reached their submit
-// call are one scheduler pass away, so yielding and re-draining (until two
-// consecutive yields harvest nothing) folds them into this frame instead of
-// forcing the next batch to start with a near-empty queue. The linger costs
-// scheduler passes, not timers, so a lone committer waits only two Gosched
-// calls — noise next to the fsync it is about to pay for.
-func (p *commitPipeline) drainBatch(first *walSubmission) []*walSubmission {
-	batch := append(make([]*walSubmission, 0, 8), first)
-	emptyYields := 0
-	for len(batch) < maxGroupBatch && emptyYields < 2 {
-		select {
-		case s := <-p.subCh:
-			batch = append(batch, s)
-			emptyYields = 0
-		default:
-			runtime.Gosched()
-			select {
-			case s := <-p.subCh:
-				batch = append(batch, s)
-				emptyYields = 0
-			default:
-				emptyYields++
-			}
-		}
+// linger holds a contended fsyncing frame open for committers about to
+// queue: it yields the processor until two consecutive yields bring no new
+// record or the batch is full. Committers released by the previous frame are
+// then one install away from their next record, so without the wait the
+// frames would alternate between those stragglers and everyone else. It runs
+// only under SyncAlways, where the fsync is the cost worth sharing, and only
+// when the last frame or the queue shows a peer: a lone committer never
+// waits. Under the scheduler the leader holds the baton and nobody else can
+// queue, so it never lingers there. Caller holds groupMu.
+func (p *commitPipeline) linger() {
+	if p.db.wal.policy != SyncAlways || p.db.opts.Yielder != nil {
+		return
 	}
-	return batch
-}
-
-// writeBatch appends one batch as a single WAL frame and releases every
-// submission with its outcome. Queue-depth accounting and the enqueue and
-// fsync-wait spans are settled here, before the release sends, so the
-// receiving committers observe fully written traces.
-func (p *commitPipeline) writeBatch(w *wal, batch []*walSubmission) {
-	now := time.Now()
-	for _, s := range batch {
-		mCommitQueueDepth.Dec()
-		atomic.AddInt64(&p.queueDepth, -1)
-		s.tr.Add(obs.SpanCommitQueue, now.Sub(s.enqueued))
+	if p.lastBatch < 2 && len(p.queue) < 2 {
+		return
 	}
-	survivors, err := w.appendGroup(batch)
-	wait := time.Since(now)
-	for _, s := range batch {
-		s.tr.Add(obs.SpanCommitFsyncWait, wait)
-	}
-	if len(survivors) > 0 {
-		mGroupCommitFrames.Inc()
-		mGroupCommitTxns.Add(uint64(len(survivors)))
-		mGroupCommitBatchTxns.Observe(time.Duration(len(survivors)))
-		txns := atomic.AddUint64(&p.groupTxns, uint64(len(survivors)))
-		var fsyncs uint64
-		if w.policy == SyncAlways {
-			fsyncs = atomic.AddUint64(&p.groupFsyncs, 1)
+	for idle := 0; idle < 2 && len(p.queue) < maxGroupBatch; {
+		n := len(p.queue)
+		p.groupMu.Unlock()
+		runtime.Gosched()
+		p.groupMu.Lock()
+		if len(p.queue) == n {
+			idle++
 		} else {
-			fsyncs = atomic.LoadUint64(&p.groupFsyncs)
+			idle = 0
 		}
-		mFsyncsPerCommitMilli.Set(int64(fsyncs * 1000 / txns))
 	}
-	for _, s := range survivors {
-		s.res <- err
+}
+
+// writeBatch appends one batch as a single WAL frame and records each
+// record's outcome, queue-wait and write spans, and the group-commit metrics.
+// Everything is settled before lead marks the batch done, so released
+// followers observe fully written traces.
+func (p *commitPipeline) writeBatch(batch []*walRecord) {
+	w := p.db.wal
+	now := time.Now()
+	for _, r := range batch {
+		r.tr.Add(obs.SpanCommitQueue, now.Sub(r.enqueued))
 	}
+	err := w.append(batch)
+	wait := time.Since(now)
+	for _, r := range batch {
+		r.err = err
+		r.tr.Add(obs.SpanCommitFsyncWait, wait)
+	}
+	mCommitQueueDepth.Add(-int64(len(batch)))
+	atomic.AddInt64(&p.queueDepth, -int64(len(batch)))
+	if err != nil {
+		return
+	}
+	mGroupCommitFrames.Inc()
+	mGroupCommitTxns.Add(uint64(len(batch)))
+	mGroupCommitBatchTxns.Observe(time.Duration(len(batch)))
+	txns := atomic.AddUint64(&p.groupTxns, uint64(len(batch)))
+	var fsyncs uint64
+	if w.policy == SyncAlways {
+		fsyncs = atomic.AddUint64(&p.groupFsyncs, 1)
+	} else {
+		fsyncs = atomic.LoadUint64(&p.groupFsyncs)
+	}
+	mFsyncsPerCommitMilli.Set(int64(fsyncs * 1000 / txns))
 }
 
 // QuiesceCommits drains the commit pipeline and blocks new commits until the

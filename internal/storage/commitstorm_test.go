@@ -1,10 +1,12 @@
 // Commit-storm suites for the staged commit pipeline: the pipeline must be
-// observationally equivalent to the pre-pipeline serial commit path
-// (Options.SerialCommit) at every isolation level. Deterministic anomaly
-// shapes pin the equivalence exactly — same per-step outcomes, same anomaly
-// classes out of the offline checker — and a free-running storm of disjoint
-// and overlapping write sets gates both commit paths against each level's
-// allowed-anomaly contract. Runs under -race via the chaos CI job.
+// observationally equivalent to a one-commit-at-a-time engine at every
+// isolation level. Deterministic anomaly shapes pin the equivalence exactly —
+// same per-step outcomes, same anomaly classes out of the offline checker as
+// the serial commit path (one exclusive critical section per commit, since
+// removed) produced, recorded in stormGolden — and a storm of disjoint and
+// overlapping write sets, run both free and under the deterministic
+// scheduler, gates the engine against each level's allowed-anomaly contract.
+// Runs under -race via the chaos CI job.
 package storage_test
 
 import (
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"feralcc/internal/histcheck"
+	"feralcc/internal/sched"
 	"feralcc/internal/storage"
 )
 
@@ -27,16 +30,15 @@ var stormLevels = []storage.IsolationLevel{
 	storage.Serializable2PL,
 }
 
-// stormDB opens a history-recording engine; serial selects the pre-pipeline
-// single-critical-section commit path, the ablation baseline the pipeline is
-// measured against.
-func stormDB(t *testing.T, level storage.IsolationLevel, serial bool) *storage.Database {
+// stormDB opens a history-recording engine, under the deterministic
+// scheduler y when it is non-nil.
+func stormDB(t *testing.T, level storage.IsolationLevel, y storage.Yielder) *storage.Database {
 	t.Helper()
 	db := storage.Open(storage.Options{
 		DefaultIsolation: level,
 		RecordHistory:    true,
 		LockTimeout:      150 * time.Millisecond,
-		SerialCommit:     serial,
+		Yielder:          y,
 	})
 	if err := db.CreateTable(&storage.Schema{
 		Name: "kv",
@@ -79,7 +81,8 @@ func stormUpdate(tx *storage.Tx, id storage.RowID, value string) error {
 }
 
 // errClass folds an error into the vocabulary the parity assertions compare:
-// the two commit paths must fail the same steps for the same reasons.
+// the engine must fail the same steps for the same reasons as the golden
+// table records.
 func errClass(err error) string {
 	switch {
 	case err == nil:
@@ -179,52 +182,78 @@ var stormShapes = []stormShape{
 	}},
 }
 
+// stormGolden is each shape's result at each level — step outcomes, commit
+// census, checker classes — as the serial commit path produced it before its
+// removal: every commit ran validate, log and install alone under the
+// exclusive gate. The staged pipeline matched it byte for byte then, and must
+// keep doing so.
+var stormGolden = []struct {
+	level, shape, outcome, commits, classes string
+}{
+	{"READ COMMITTED", "lost-update", "r1=ok r2=ok u2=ok c2=ok u1=ok c1=ok", "committed=3 aborted=0", "[G-single]"},
+	{"READ COMMITTED", "write-skew", "r1=ok r2=ok u1=ok c1=ok u2=ok c2=ok", "committed=4 aborted=0", "[G2-item]"},
+	{"READ COMMITTED", "phantom-insert", "r1=ok u1=ok u2=ok c2=ok c1=ok", "committed=2 aborted=0", "[]"},
+	{"REPEATABLE READ", "lost-update", "r1=ok r2=ok u2=ok c2=ok u1=ok c1=ok", "committed=3 aborted=0", "[G-single]"},
+	{"REPEATABLE READ", "write-skew", "r1=ok r2=ok u1=ok c1=ok u2=ok c2=ok", "committed=4 aborted=0", "[G2-item]"},
+	{"REPEATABLE READ", "phantom-insert", "r1=ok u1=ok u2=ok c2=ok c1=ok", "committed=2 aborted=0", "[]"},
+	{"SNAPSHOT ISOLATION", "lost-update", "r1=ok r2=ok u2=ok c2=ok u1=ok c1=serialization", "committed=2 aborted=1", "[]"},
+	{"SNAPSHOT ISOLATION", "write-skew", "r1=ok r2=ok u1=ok c1=ok u2=ok c2=ok", "committed=4 aborted=0", "[G2-item]"},
+	{"SNAPSHOT ISOLATION", "phantom-insert", "r1=ok u1=ok u2=ok c2=ok c1=ok", "committed=2 aborted=0", "[]"},
+	{"SERIALIZABLE", "lost-update", "r1=ok r2=ok u2=ok c2=ok u1=ok c1=serialization", "committed=2 aborted=1", "[]"},
+	{"SERIALIZABLE", "write-skew", "r1=ok r2=ok u1=ok c1=ok u2=ok c2=serialization", "committed=3 aborted=1", "[]"},
+	{"SERIALIZABLE", "phantom-insert", "r1=ok u1=ok u2=ok c2=ok c1=serialization", "committed=1 aborted=1", "[]"},
+	{"SERIALIZABLE 2PL", "lost-update", "r1=ok r2=ok u2=locktimeout c2=ok u1=ok c1=ok", "committed=2 aborted=1", "[]"},
+	{"SERIALIZABLE 2PL", "write-skew", "r1=ok r2=ok u1=locktimeout c1=ok u2=ok c2=ok", "committed=3 aborted=1", "[]"},
+	{"SERIALIZABLE 2PL", "phantom-insert", "r1=ok u1=ok u2=locktimeout c2=ok c1=ok", "committed=1 aborted=1", "[]"},
+}
+
 // TestChaosCommitStormShapeParity runs each deterministic conflict shape at
-// every isolation level against both commit paths and requires byte-identical
-// results: the same step outcomes, the same commit/abort census, and the same
-// anomaly classes from the offline checker. This pins the pipeline to the
-// pre-pipeline engine's observable isolation behavior.
+// every isolation level and requires the golden serial-path result exactly:
+// the same step outcomes, the same commit/abort census, and the same anomaly
+// classes from the offline checker. This pins the pipeline to the
+// one-commit-at-a-time engine's observable isolation behavior.
 func TestChaosCommitStormShapeParity(t *testing.T) {
+	if got, want := len(stormGolden), len(stormLevels)*len(stormShapes); got != want {
+		t.Fatalf("golden table has %d rows, want one per (level, shape) = %d", got, want)
+	}
 	for _, level := range stormLevels {
 		for _, shape := range stormShapes {
 			t.Run(fmt.Sprintf("%s/%s", level, shape.name), func(t *testing.T) {
-				type result struct {
-					outcome string
-					classes string
-					commits string
+				db := stormDB(t, level, nil)
+				defer db.Close()
+				outcome := shape.run(t, db)
+				rep := histcheck.Check(db.History())
+				if !rep.Pass() {
+					t.Fatalf("history fails its own level:\n%s", rep)
 				}
-				runOne := func(serial bool) result {
-					db := stormDB(t, level, serial)
-					defer db.Close()
-					outcome := shape.run(t, db)
-					rep := histcheck.Check(db.History())
-					if !rep.Pass() {
-						t.Fatalf("serial=%v: history fails its own level:\n%s", serial, rep)
+				commits := fmt.Sprintf("committed=%d aborted=%d", rep.Committed, rep.Aborted)
+				classes := fmt.Sprintf("%v", rep.Classes())
+				for _, g := range stormGolden {
+					if g.level != level.String() || g.shape != shape.name {
+						continue
 					}
-					return result{
-						outcome: outcome,
-						classes: fmt.Sprintf("%v", rep.Classes()),
-						commits: fmt.Sprintf("committed=%d aborted=%d", rep.Committed, rep.Aborted),
+					if outcome != g.outcome || commits != g.commits || classes != g.classes {
+						t.Fatalf("diverges from the serial commit path:\ngolden: %s | %s | classes %s\ngot:    %s | %s | classes %s",
+							g.outcome, g.commits, g.classes, outcome, commits, classes)
 					}
+					t.Logf("%s @ %v: %s | %s | classes %s", shape.name, level, outcome, commits, classes)
+					return
 				}
-				serial := runOne(true)
-				pipeline := runOne(false)
-				if serial != pipeline {
-					t.Fatalf("commit paths diverge:\nserial:   %+v\npipeline: %+v", serial, pipeline)
-				}
-				t.Logf("%s @ %v: %s | %s | classes %s",
-					shape.name, level, pipeline.outcome, pipeline.commits, pipeline.classes)
+				t.Fatalf("no golden row for %s @ %v", shape.name, level)
 			})
 		}
 	}
 }
 
-// TestChaosCommitStormAllLevels free-runs a seeded storm of committers with
+// TestChaosCommitStormAllLevels runs a seeded storm of committers with
 // disjoint write sets (each worker owns a private row) and overlapping ones
-// (all workers contend on a shared row set) at every isolation level, against
-// both commit paths, and gates the recorded history: it must pass the
-// checker, never show a structural anomaly, and never show a class the
-// level's Allowed set proscribes.
+// (all workers contend on a shared row set) at every isolation level, and
+// gates the recorded history: it must pass the checker, never show a
+// structural anomaly, and never show a class the level's Allowed set
+// proscribes. serial=true runs the workers under the deterministic scheduler
+// with a seeded PCT schedule, so exactly one of them makes progress between
+// yield points — commits serialized, group-commit election and CSN turns
+// decided by the schedule; serial=false lets them race freely.
 func TestChaosCommitStormAllLevels(t *testing.T) {
 	const (
 		seed    = 2015
@@ -235,7 +264,13 @@ func TestChaosCommitStormAllLevels(t *testing.T) {
 	for _, level := range stormLevels {
 		for _, serial := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/serial=%v", level, serial), func(t *testing.T) {
-				db := stormDB(t, level, serial)
+				var s *sched.Scheduler
+				var y storage.Yielder
+				if serial {
+					s = sched.New(workers, sched.RandomSchedule(seed, workers, ops*8, 60))
+					y = s
+				}
+				db := stormDB(t, level, y)
 				defer db.Close()
 				sharedIDs := make([]storage.RowID, shared)
 				for i := range sharedIDs {
@@ -246,11 +281,9 @@ func TestChaosCommitStormAllLevels(t *testing.T) {
 					ownIDs[w] = stormInsert(t, db, fmt.Sprintf("w%d", w), "0")
 				}
 
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
+				bodies := make([]func(), workers)
+				for w := range bodies {
+					bodies[w] = func() {
 						rng := rand.New(rand.NewSource(seed + int64(w)*7919))
 						for op := 0; op < ops; op++ {
 							id := ownIDs[w] // disjoint: private row, conflict-free
@@ -272,9 +305,21 @@ func TestChaosCommitStormAllLevels(t *testing.T) {
 								t.Errorf("unexpected commit error: %v", err)
 							}
 						}
-					}(w)
+					}
 				}
-				wg.Wait()
+				if s != nil {
+					s.Run(bodies...)
+				} else {
+					var wg sync.WaitGroup
+					for _, body := range bodies {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							body()
+						}()
+					}
+					wg.Wait()
+				}
 
 				rep := histcheck.Check(db.History())
 				t.Logf("storm at %v serial=%v: %d txs (%d committed, %d aborted), classes %v",

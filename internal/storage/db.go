@@ -35,8 +35,8 @@ type Database struct {
 	schemaEpoch uint64 // atomic
 
 	// pipe is the staged commit pipeline: per-table validation latches, the
-	// commit-intent registry, the group-commit log writer, and the quiesce
-	// gate that Checkpoint/Vacuum/DDL take exclusively.
+	// commit-intent registry, the group-commit queue, and the quiesce gate
+	// that Checkpoint/Vacuum/DDL take exclusively.
 	pipe *commitPipeline
 
 	activeMu  sync.Mutex
@@ -143,21 +143,10 @@ func (db *Database) yield(point string) {
 	}
 }
 
-// yieldFunc adapts the optional Yielder to the bare func the WAL carries
-// (nil when no scheduler is attached, so the WAL pays nothing).
-func (db *Database) yieldFunc() func(string) {
-	y := db.opts.Yielder
-	if y == nil {
-		return nil
-	}
-	return y.Yield
-}
-
-// Close stops the live anomaly watcher (draining its ring) and the
-// group-commit log writer, then flushes and closes the write-ahead log.
-// In-memory databases (no DataDir) have no log to release. The caller must
-// have quiesced transactions; commits racing Close may fail with a write
-// error. Idempotent.
+// Close stops the live anomaly watcher (draining its ring), then flushes and
+// closes the write-ahead log. In-memory databases (no DataDir) have no log to
+// release. The caller must have quiesced transactions: a commit or DDL that
+// reaches the log after Close fails with an error. Idempotent.
 func (db *Database) Close() error {
 	if db.watch != nil {
 		db.watch.Stop()
@@ -165,17 +154,20 @@ func (db *Database) Close() error {
 	if db.wal == nil {
 		return nil
 	}
-	db.pipe.stopWriter()
 	return db.wal.close()
 }
 
-// walAppend logs one record if the database is durable. The error, if any,
-// must abort the operation whose record failed to reach the log.
+// walAppend logs one DDL record if the database is durable, consulting the
+// wal.append fault point first. The error, if any, must abort the operation
+// whose record failed to reach the log.
 func (db *Database) walAppend(payload []byte) error {
 	if db.wal == nil {
 		return nil
 	}
-	return db.wal.append(payload, nil)
+	if err := db.wal.fault("wal.append"); err != nil {
+		return err
+	}
+	return db.wal.append([]*walRecord{{payload: payload}})
 }
 
 // Options returns the options the database was opened with.

@@ -153,12 +153,6 @@ type Options struct {
 	// SyncInterval is the background fsync period under SyncInterval policy.
 	// Defaults to 50ms.
 	SyncInterval time.Duration
-	// SerialCommit, when true, disables the staged commit pipeline: every
-	// commit runs its whole validate-log-install sequence alone under the
-	// exclusive pipeline gate and pays its own fsync, reproducing the
-	// pre-pipeline engine. This is the ablation baseline for the commit
-	// throughput benchmarks and the vocabulary-equivalence tests.
-	SerialCommit bool
 	// LockQueueBound bounds how many transactions may queue waiting for any
 	// single lock resource. 0 (the default) keeps the queue unbounded, the
 	// pre-overload-control behavior. N > 0 admits at most N waiters per
@@ -167,10 +161,9 @@ type Options struct {
 	// waiting entirely: any acquisition that cannot be granted on the spot is
 	// shed — the fully deterministic setting the overload contract tests use.
 	LockQueueBound int
-	// CommitQueueBound bounds the group-commit submission queue the same way:
-	// 0 = unbounded (default), N > 0 sheds commits once N records are queued
-	// for the log writer and not yet durable, negative sheds any commit that
-	// would queue at all. A shed commit fails with ErrOverloaded before
+	// CommitQueueBound bounds the group-commit queue the same way: 0 =
+	// unbounded (default), N > 0 sheds commits once N records are queued and
+	// not yet durable, negative sheds any commit that would queue at all. A shed commit fails with ErrOverloaded before
 	// anything is installed or acknowledged, exactly like a WAL-stage fault.
 	CommitQueueBound int
 	// RecordHistory, when true, makes every transaction emit an operation
@@ -192,8 +185,9 @@ type Options struct {
 	// Yielder, when non-nil, puts the engine under a deterministic scheduler
 	// (internal/sched) for directed concurrency testing: the engine calls
 	// Yield at the Yield* progress points below and replaces its blocking
-	// waits (lock queues, commit-intent conflicts, CSN turns, pipeline
-	// latches, the quiesce gate) with try-then-Park retry loops, so which
+	// waits (lock queues, commit-intent conflicts, group-commit followers,
+	// CSN turns, pipeline latches, the quiesce gate) with try-then-Park retry
+	// loops, so which
 	// goroutine progresses between any two points is the scheduler's decision
 	// rather than the runtime's. At every site shared with FaultHook the
 	// fault hook is consulted first — a fault that aborts an operation
@@ -217,14 +211,15 @@ type Yielder interface {
 	// abandon the wait.
 	Park(point string, victim bool) error
 	// ParkExternal suspends pending progress by an unscheduled goroutine
-	// (e.g. the group-commit log writer).
+	// (e.g. setup code holding a table latch or the quiesce gate).
 	ParkExternal(point string)
 }
 
 // Yield-point names passed to Options.Yielder.Yield, mirroring the FaultHook
 // op vocabulary at shared sites. Together they are the scheduler's yield
 // catalog: begin, snapshot/item read, lock acquire/release, commit entry,
-// commit-intent enqueue, install, and the WAL seams.
+// commit-intent enqueue, install, and the WAL append — a commit reaches it
+// with its record queued, which makes it the group-commit election point.
 const (
 	YieldBegin       = "begin"
 	YieldRead        = "read"
@@ -234,7 +229,6 @@ const (
 	YieldEnqueue     = "commit.enqueue"
 	YieldInstall     = "commit.install"
 	YieldWALAppend   = "wal.append"
-	YieldWALFsync    = "wal.fsync"
 )
 
 // Park-point names passed to Options.Yielder.Park/ParkExternal, identifying

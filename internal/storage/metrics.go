@@ -56,13 +56,13 @@ var (
 		"feraldb_storage_wal_fsync_seconds", "WAL fsync latency")
 
 	mGroupCommitFrames = obs.NewCounter(obs.Default(),
-		"feraldb_storage_group_commit_frames_total", "WAL frames written by the group-commit log writer (single- or multi-transaction)")
+		"feraldb_storage_group_commit_frames_total", "WAL commit frames written by group-commit leaders (single- or multi-transaction)")
 	mGroupCommitTxns = obs.NewCounter(obs.Default(),
-		"feraldb_storage_group_commit_txns_total", "Transactions made durable through the group-commit log writer")
+		"feraldb_storage_group_commit_txns_total", "Transactions made durable through group commit")
 	mGroupCommitBatchTxns = obs.NewHistogram(obs.Default(),
 		"feraldb_storage_group_commit_batch_txns", "Transactions per group-commit batch (unitless count, power-of-two buckets)")
 	mCommitQueueDepth = obs.NewGauge(obs.Default(),
-		"feraldb_storage_commit_queue_depth", "Commit records handed to the group-commit writer and not yet durable")
+		"feraldb_storage_commit_queue_depth", "Commit records queued for group commit and not yet durable")
 	mFsyncsPerCommitMilli = obs.NewGauge(obs.Default(),
 		"feraldb_storage_wal_fsyncs_per_commit_milli", "Cumulative WAL fsyncs per group-committed transaction, in thousandths (1000 = one fsync per commit)")
 

@@ -102,14 +102,12 @@ func OpenDir(opts Options) (*Database, error) {
 		}
 	}
 
-	db.wal, err = openWAL(walPath, scan.validLen, o.SyncPolicy, o.SyncInterval, hook, db.yieldFunc())
+	db.wal, err = openWAL(walPath, scan.validLen, o.SyncPolicy, o.SyncInterval, hook)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal for append: %w", err)
 	}
-	// Continue the CSN sequence from the recovered clock and start the
-	// group-commit log writer now that the log accepts appends.
+	// Continue the CSN sequence from the recovered clock.
 	db.pipe.setBase(atomic.LoadUint64(&db.clock))
-	db.pipe.startWriter(db.wal)
 	mRecoverySeconds.Observe(time.Since(recoverStart))
 	mRecoveryRecords.Add(uint64(db.recovery.RecordsReplayed))
 	return db, nil
@@ -118,18 +116,29 @@ func OpenDir(opts Options) (*Database, error) {
 // replayRecord applies one decoded WAL record. DDL records re-run the public
 // catalog methods (db.wal is still nil during replay, so nothing is
 // re-logged); commit records install their versions directly at the recorded
-// commit timestamp.
+// commit timestamp. A commit or group-commit record is decoded whole before
+// any of it is installed, so a record that fails to decode leaves memory
+// untouched and is truncated away like any corrupt tail.
 func (db *Database) replayRecord(payload []byte) error {
 	d := &walDecoder{b: payload}
 	switch typ := d.byteVal(); typ {
 	case recCommit:
-		return db.replayCommit(d)
+		c, err := db.decodeCommit(d)
+		if err != nil {
+			return err
+		}
+		db.replayCommit(c)
+		return nil
 	case recGroupCommit:
-		// A group-commit frame: replay each embedded commit record in order.
-		// The frame is covered by one checksum, so a torn batch was already
-		// discarded whole by scanWAL — sub-records are never partially valid.
+		// A group-commit frame: its sub-records replay in order, all of them
+		// or none.
 		n := d.u64()
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		if d.err != nil || n > uint64(len(d.b)) {
+			d.fail("group commit count")
+			return d.err
+		}
+		var commits []walCommit // grown as sub-records decode, never sized by n
+		for i := uint64(0); i < n; i++ {
 			subLen := d.u64()
 			if d.err != nil || uint64(len(d.b)) < subLen {
 				d.fail("group commit record")
@@ -140,11 +149,16 @@ func (db *Database) replayRecord(payload []byte) error {
 			if sub.byteVal() != recCommit {
 				return fmt.Errorf("storage: wal group commit: unexpected sub-record type")
 			}
-			if err := db.replayCommit(sub); err != nil {
+			c, err := db.decodeCommit(sub)
+			if err != nil {
 				return err
 			}
+			commits = append(commits, c)
 		}
-		return d.err
+		for _, c := range commits {
+			db.replayCommit(c)
+		}
+		return nil
 	case recCreateTable:
 		s := d.schema()
 		if d.err != nil {
@@ -189,66 +203,106 @@ func (db *Database) replayRecord(payload []byte) error {
 	}
 }
 
+// walCommit is one decoded commit record.
+type walCommit struct {
+	commitTS uint64
+	tables   []walTableOps
+}
+
+// walTableOps is one table's operations within a commit record.
+type walTableOps struct {
+	name string
+	ops  []walOp
+}
+
+// walOp is one row operation; vals is nil for deletes.
+type walOp struct {
+	op   byte
+	id   RowID
+	vals []Value
+}
+
+// decodeCommit decodes a commit record's body (after its type byte),
+// rejecting unknown ops, out-of-range row ids, and row images whose width
+// does not match their table's schema.
+func (db *Database) decodeCommit(d *walDecoder) (walCommit, error) {
+	c := walCommit{commitTS: d.u64()}
+	nTables := d.u64()
+	if d.err != nil || nTables > uint64(len(d.b)) {
+		d.fail("commit tables")
+		return c, d.err
+	}
+	for i := uint64(0); i < nTables; i++ {
+		t := walTableOps{name: d.str()}
+		width := -1
+		if tbl := db.tables[strings.ToLower(t.name)]; tbl != nil {
+			width = len(tbl.schema.Columns)
+		}
+		nOps := d.u64()
+		if d.err != nil || nOps > uint64(len(d.b)) { // each op is ≥ 2 bytes
+			d.fail("commit ops")
+			return c, d.err
+		}
+		for j := uint64(0); j < nOps; j++ {
+			o := walOp{op: d.byteVal(), id: RowID(d.u64())}
+			switch o.op {
+			case walOpInsert, walOpUpdate:
+				o.vals = d.row()
+			case walOpDelete:
+			default:
+				if d.err == nil {
+					return c, fmt.Errorf("storage: wal commit record: unknown op %d", o.op)
+				}
+			}
+			if d.err != nil {
+				return c, d.err
+			}
+			if o.id > maxRowID {
+				return c, fmt.Errorf("storage: wal commit record: row id %d out of range", o.id)
+			}
+			if o.vals != nil && width >= 0 && len(o.vals) != width {
+				return c, fmt.Errorf("storage: wal commit record: %d values for %d columns of %s", len(o.vals), width, t.name)
+			}
+			t.ops = append(t.ops, o)
+		}
+		c.tables = append(c.tables, t)
+	}
+	return c, nil
+}
+
 // replayCommit reinstalls one committed transaction's writes at its original
 // commit timestamp, bumping the per-table row and primary-key allocators so
 // new traffic never collides with recovered rows.
-func (db *Database) replayCommit(d *walDecoder) error {
-	commitTS := d.u64()
-	nTables := d.u64()
-	for i := uint64(0); i < nTables && d.err == nil; i++ {
-		name := d.str()
-		nOps := d.u64()
-		if d.err != nil {
-			return d.err
+func (db *Database) replayCommit(c walCommit) {
+	for _, ops := range c.tables {
+		t := db.tables[strings.ToLower(ops.name)]
+		if t == nil {
+			continue // table dropped by a later record's era; nothing to install
 		}
-		t := db.tables[strings.ToLower(name)]
-		var pkPos int = -1
-		if t != nil {
-			if pk := t.schema.PrimaryKey(); pk != "" {
-				pkPos = t.schema.ColumnIndex(pk)
-			}
+		pkPos := -1
+		if pk := t.schema.PrimaryKey(); pk != "" {
+			pkPos = t.schema.ColumnIndex(pk)
 		}
-		for j := uint64(0); j < nOps && d.err == nil; j++ {
-			op := d.byteVal()
-			id := RowID(d.u64())
-			var vals []Value
-			if op == walOpInsert || op == walOpUpdate {
-				vals = d.row()
-			}
-			if d.err != nil {
-				return d.err
-			}
-			if t == nil {
-				continue // table dropped by a later record's era; nothing to install
-			}
-			if id > maxRowID {
-				return fmt.Errorf("storage: wal commit record: row id %d out of range", id)
-			}
-			switch op {
+		for _, o := range ops.ops {
+			switch o.op {
 			case walOpInsert:
-				t.installInsert(id, vals, commitTS)
-				t.bumpRow(id)
+				t.installInsert(o.id, o.vals, c.commitTS)
+				t.bumpRow(o.id)
 			case walOpUpdate:
-				t.installUpdate(id, vals, commitTS)
-				t.bumpRow(id)
+				t.installUpdate(o.id, o.vals, c.commitTS)
+				t.bumpRow(o.id)
 			case walOpDelete:
-				t.installDelete(id, commitTS)
-			default:
-				return fmt.Errorf("storage: wal commit record: unknown op %d", op)
+				t.installDelete(o.id, c.commitTS)
 			}
-			if vals != nil && pkPos >= 0 && pkPos < len(vals) && vals[pkPos].Kind == KindInt {
-				t.bumpID(vals[pkPos].I)
+			if o.vals != nil && pkPos >= 0 && pkPos < len(o.vals) && o.vals[pkPos].Kind == KindInt {
+				t.bumpID(o.vals[pkPos].I)
 			}
 		}
 	}
-	if d.err != nil {
-		return d.err
-	}
-	if commitTS > atomic.LoadUint64(&db.clock) {
-		atomic.StoreUint64(&db.clock, commitTS)
+	if c.commitTS > atomic.LoadUint64(&db.clock) {
+		atomic.StoreUint64(&db.clock, c.commitTS)
 	}
 	db.recovery.CommitsReplayed++
-	return nil
 }
 
 // CheckIntegrity verifies the in-database constraints over the live state:

@@ -182,7 +182,7 @@ func TestRecoveryRejectsOutOfRangeRowID(t *testing.T) {
 	db := durableDB(t, dir, Options{})
 	mustCreate(t, db, kvSchema("kv"))
 	forged := map[string]map[RowID]*txWrite{"kv": {maxRowID + 1: {op: opInsert, vals: []Value{Int(1), Str("k"), Str("v")}}}}
-	if err := db.wal.append(encodeCommit(forged, db.Clock()+1), nil); err != nil {
+	if err := db.wal.append([]*walRecord{{payload: encodeCommit(forged, db.Clock()+1)}}); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()

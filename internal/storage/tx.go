@@ -26,13 +26,15 @@ const (
 // txWrite is one buffered row write. vals is the full new row image for
 // inserts and updates; baseTS is the begin timestamp of the committed
 // version the write was based on (0 when the row did not exist), used for
-// first-committer-wins validation.
+// first-committer-wins validation. cascade marks a write that commit
+// validation added for an ON DELETE action.
 type txWrite struct {
-	op     writeOp
-	vals   []Value
-	old    []Value // shared, read-only prior committed image (update/delete); nil for insert
-	baseTS uint64
-	seq    int // execution order, to keep installs deterministic
+	op      writeOp
+	cascade bool
+	vals    []Value
+	old     []Value // shared, read-only prior committed image (update/delete); nil for insert
+	baseTS  uint64
+	seq     int // execution order, to keep installs deterministic
 }
 
 // Tx is a transaction handle. A Tx must be used from one goroutine at a
@@ -57,7 +59,10 @@ type Tx struct {
 	// predicate-key format. The pipeline's registration conflict check tests
 	// them against pending commit intents: a pending install that would change
 	// a probe's answer forces this transaction to wait and revalidate.
-	probes map[string]struct{}
+	// trackProbes is set for a validation round only while some intent is
+	// pending; with none, no probe could conflict (see hasPending).
+	probes      map[string]struct{}
+	trackProbes bool
 
 	tookLocks bool
 
@@ -134,10 +139,9 @@ func (tx *Tx) notePredRead(key string) {
 }
 
 // noteProbe records one committed-state validation lookup, keyed exactly like
-// a summary predicate key. Skipped in serial-commit mode, where the exclusive
-// gate makes validation atomic without conflict tracking.
+// a summary predicate key, when the validation round tracks probes.
 func (tx *Tx) noteProbe(lowerTable, lowerCol, key string) {
-	if tx.db.opts.SerialCommit {
+	if !tx.trackProbes {
 		return
 	}
 	if tx.probes == nil {
@@ -190,11 +194,10 @@ func (tx *Tx) histAbort(reason string) {
 
 // recordInstalls emits one write event per installed row, into the offline
 // recorder and/or the live watcher. Called immediately after install, inside
-// the commit's install turn (or under the exclusive gate on the serial path),
-// so a history snapshot can never observe an installed version before the
-// event that explains it — and, on the live path, so per-row install events
-// reach the watcher in commit-sequence order, which is what lets it maintain
-// the version order incrementally.
+// the commit's install turn, so a history snapshot can never observe an
+// installed version before the event that explains it — and, on the live
+// path, so per-row install events reach the watcher in commit-sequence order,
+// which is what lets it maintain the version order incrementally.
 func (tx *Tx) recordInstalls(commitTS uint64) {
 	type rec struct {
 		lower string
@@ -659,11 +662,9 @@ func (tx *Tx) Rollback() {
 // returned; ErrSerialization and ErrUniqueViolation/-ForeignKeyViolation are
 // the interesting cases for the layers above.
 //
-// The default path is the staged commit pipeline (see commitpipeline.go):
+// A writing commit runs the staged commit pipeline (see commitpipeline.go):
 // validation under per-table latches, a group-commit WAL append, and an
-// install strictly ordered by commit sequence number. Options.SerialCommit
-// selects the pre-pipeline behavior — one global critical section per commit
-// and one fsync per transaction — as the ablation baseline.
+// install strictly ordered by commit sequence number.
 func (tx *Tx) Commit() error {
 	if err := tx.checkLive(); err != nil {
 		return err
@@ -699,9 +700,6 @@ func (tx *Tx) Commit() error {
 		db.finish(tx)
 		return nil
 	}
-	if db.opts.SerialCommit {
-		return tx.commitSerial(start)
-	}
 	return tx.commitPipelined(start)
 }
 
@@ -731,57 +729,6 @@ func isConflictAbort(err error) bool {
 		errors.Is(err, ErrLockTimeout)
 }
 
-// commitSerial is the pre-pipeline commit path: the whole
-// validate-log-install sequence runs under the exclusive pipeline gate, so
-// commits are fully serialized and each pays its own fsync.
-func (tx *Tx) commitSerial(start time.Time) error {
-	db := tx.db
-	p := db.pipe
-	p.gateLock()
-	vstart := time.Now()
-	err := tx.validate(true)
-	tx.trace.Add(obs.SpanCommitValidate, time.Since(vstart))
-	if err != nil {
-		p.gate.Unlock()
-		return tx.abortCommit(err)
-	}
-	commitTS := atomic.LoadUint64(&db.clock) + 1
-	// Write-ahead: the commit record must be durable (per the sync policy)
-	// before any of its versions become visible. A log failure aborts the
-	// commit with nothing installed — recovery can never observe a
-	// half-applied transaction, and an unlogged one was never acknowledged.
-	if db.wal != nil {
-		if werr := db.wal.append(encodeCommit(tx.writes, commitTS), tx.trace); werr != nil {
-			p.gate.Unlock()
-			tx.done = true
-			atomic.AddUint64(&db.statAborts, 1)
-			mAbortsWAL.Inc()
-			tx.histAbort(werr.Error())
-			db.finish(tx)
-			return fmt.Errorf("commit aborted: %w", werr)
-		}
-	}
-	summary := tx.buildSummary(commitTS)
-	// Yielding here (under the exclusive gate) is safe: every other gate
-	// acquisition is park-wrapped when a scheduler is attached, so peers
-	// retry on their own turns instead of blocking the runtime.
-	db.yield(YieldInstall)
-	tx.install(commitTS)
-	tx.recordCommitEvents(commitTS)
-	atomic.StoreUint64(&db.clock, commitTS)
-	p.gate.Unlock()
-
-	db.recordCommit(summary)
-	tx.done = true
-	atomic.AddUint64(&db.statCommits, 1)
-	db.finish(tx)
-	d := time.Since(start)
-	mCommits.Inc()
-	mCommitSeconds.Observe(d)
-	tx.trace.Add(obs.SpanCommit, d)
-	return nil
-}
-
 // commitPipelined runs the staged commit pipeline.
 //
 // Stage 1 — validate: under the latches of the write set's FK-connected
@@ -793,12 +740,13 @@ func (tx *Tx) commitSerial(start time.Time) error {
 // original write set; a serializable certification conflict aborts; otherwise
 // the intent is admitted with the next CSN.
 //
-// Stage 2 — group-commit WAL: the encoded record is handed to the log writer
-// goroutine and the committer parks until its batch is durable. A log failure
+// Stage 2 — group-commit WAL: the encoded record joins the group-commit
+// queue, and the committer either leads (writing the queued batch as one
+// frame) or waits as a follower until its batch is durable. A log failure
 // aborts the commit, consuming its CSN turn so later commits never stall.
 //
 // Stage 3 — ordered install: strictly in CSN order, install versions under
-// the write tables' latches, emit history events, publish the clock, and
+// the component's latches, emit history events, publish the clock, and
 // expose the summary for certification before leaving the pending set.
 func (tx *Tx) commitPipelined(start time.Time) error {
 	db := tx.db
@@ -806,26 +754,25 @@ func (tx *Tx) commitPipelined(start time.Time) error {
 	p.gateRLock()
 
 	vstart := time.Now()
-	names := p.latchFor(tx.writes)
-	// Cascade expansion mutates the write set; retries must restart from the
-	// transaction's own writes or a prior round's cascade targets would be
-	// double-applied against a changed committed state.
-	var origWrites map[string]map[RowID]struct{}
-	if tx.hasDeletes() {
-		origWrites = tx.writeKeySnapshot()
-	}
-	var intent *commitIntent
+	latches := p.latchFor(tx.writes)
+	cs := commitStates.Get().(*commitState)
+	defer cs.release()
+	in := &cs.intent
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			tx.pruneWrites(origWrites)
+			// Cascade expansion added to the write set; a retry restarts from
+			// the transaction's own writes, or a prior round's cascade targets
+			// would be double-applied against a changed committed state.
+			tx.pruneCascades()
 		}
 		tx.probes = nil
 		db.yield(YieldEnqueue)
-		latches := p.latch(names)
-		err := tx.validate(false)
-		var waits []chan struct{}
+		p.latch(latches)
+		tx.trackProbes = p.hasPending()
+		err := tx.validate()
+		var wait uint64
 		if err == nil {
-			intent, waits, err = p.register(tx, tx.buildSummary(0))
+			wait, err = p.register(tx, tx.buildSummary(0), in)
 		}
 		p.unlatch(latches)
 		if err != nil {
@@ -833,26 +780,24 @@ func (tx *Tx) commitPipelined(start time.Time) error {
 			p.gate.RUnlock()
 			return tx.abortCommit(err)
 		}
-		if intent != nil {
+		if wait == 0 {
 			break
 		}
 		if y := db.opts.Yielder; y != nil {
-			// Scheduler mode: instead of blocking on the conflicting intents'
-			// channels, park and revalidate on our own next turn. The park is
-			// not victim-eligible — a registered intent always resolves.
+			// Scheduler mode: instead of blocking until the conflicting
+			// intents resolve, park and revalidate on our own next turn. The
+			// park is not victim-eligible — a registered intent always resolves.
 			_ = y.Park(ParkConflict, false)
 			continue
 		}
-		for _, ch := range waits {
-			<-ch
-		}
+		p.awaitInstalled(wait)
 	}
 	tx.trace.Add(obs.SpanCommitValidate, time.Since(vstart))
 
-	csn := intent.csn
 	if db.wal != nil {
-		if werr := p.submit(encodeCommit(tx.writes, csn), tx.trace); werr != nil {
-			p.abortIntent(intent)
+		cs.rec = walRecord{payload: encodeCommit(tx.writes, in.csn), tr: tx.trace}
+		if werr := p.submit(&cs.rec); werr != nil {
+			p.abortIntent(in)
 			p.gate.RUnlock()
 			tx.done = true
 			atomic.AddUint64(&db.statAborts, 1)
@@ -865,17 +810,17 @@ func (tx *Tx) commitPipelined(start time.Time) error {
 
 	istart := time.Now()
 	db.yield(YieldInstall)
-	p.awaitTurn(csn)
-	latches := p.latch(tx.writeTableNames())
-	tx.install(csn)
-	tx.recordCommitEvents(csn)
-	atomic.StoreUint64(&db.clock, csn)
+	p.awaitTurn(in)
+	p.latch(latches)
+	tx.install(in.csn)
+	tx.recordCommitEvents(in.csn)
+	atomic.StoreUint64(&db.clock, in.csn)
 	p.unlatch(latches)
 	// Publish the summary for certification before resolving the intent, so a
 	// registering transaction always sees this commit in exactly one of the
 	// two conflict sources (pending intents or recorded summaries).
-	db.recordCommit(intent.summary)
-	p.finish(intent)
+	db.recordCommit(in.summary)
+	p.finish(in)
 	p.gate.RUnlock()
 	tx.trace.Add(obs.SpanCommitInstall, time.Since(istart))
 
@@ -889,69 +834,23 @@ func (tx *Tx) commitPipelined(start time.Time) error {
 	return nil
 }
 
-// hasDeletes reports whether any buffered write is a delete (the only op that
-// can trigger cascade expansion).
-func (tx *Tx) hasDeletes() bool {
+// pruneCascades drops the writes cascade expansion added.
+func (tx *Tx) pruneCascades() {
 	for _, rows := range tx.writes {
-		for _, w := range rows {
-			if w.op == opDelete {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// writeKeySnapshot captures the current write-set keys, so conflict-wait
-// retries can discard cascade-added writes from a previous validation round.
-func (tx *Tx) writeKeySnapshot() map[string]map[RowID]struct{} {
-	snap := make(map[string]map[RowID]struct{}, len(tx.writes))
-	for lower, rows := range tx.writes {
-		m := make(map[RowID]struct{}, len(rows))
-		for id := range rows {
-			m[id] = struct{}{}
-		}
-		snap[lower] = m
-	}
-	return snap
-}
-
-// pruneWrites drops writes not present in the original-key snapshot.
-func (tx *Tx) pruneWrites(orig map[string]map[RowID]struct{}) {
-	if orig == nil {
-		return
-	}
-	for lower, rows := range tx.writes {
-		keep := orig[lower]
-		for id := range rows {
-			if _, ok := keep[id]; !ok {
+		for id, w := range rows {
+			if w.cascade {
 				delete(rows, id)
 			}
 		}
 	}
 }
 
-// writeTableNames returns the sorted lower-cased names of tables with
-// buffered writes.
-func (tx *Tx) writeTableNames() []string {
-	names := make([]string, 0, len(tx.writes))
-	for lower, rows := range tx.writes {
-		if len(rows) > 0 {
-			names = append(names, lower)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// validate runs commit-time validation: write-write conflicts, in-database
-// unique and foreign key constraints (expanding cascades into the write set),
-// and — only when certInline is set (the serial path) — serializable read
-// certification. The pipeline instead certifies during intent registration,
+// validate runs commit-time validation: write-write conflicts and in-database
+// unique and foreign key constraints (expanding cascades into the write set).
+// Serializable read certification runs later, during intent registration,
 // where the registry lock closes the race against concurrently publishing
-// commits. Caller holds either the table latches of the write set's FK
-// component or the exclusive gate.
-func (tx *Tx) validate(certInline bool) error {
+// commits. Caller holds the table latches of the write set's FK component.
+func (tx *Tx) validate() error {
 	db := tx.db
 
 	// First-committer-wins: abort if any written row has a committed version
@@ -980,12 +879,6 @@ func (tx *Tx) validate(certInline bool) error {
 				}
 			}
 			t.mu.RUnlock()
-		}
-	}
-
-	if certInline && tx.level.certifiesReads() {
-		if err := tx.certify(); err != nil {
-			return err
 		}
 	}
 
@@ -1093,7 +986,7 @@ func (tx *Tx) expandCascades() error {
 				switch e.fk.OnDelete {
 				case Cascade:
 					tx.seq++
-					childWrites[h.id] = &txWrite{op: opDelete, old: h.vals, baseTS: h.beginTS, seq: tx.seq}
+					childWrites[h.id] = &txWrite{op: opDelete, cascade: true, old: h.vals, baseTS: h.beginTS, seq: tx.seq}
 					work = append(work, struct {
 						table string
 						id    RowID
@@ -1107,7 +1000,7 @@ func (tx *Tx) expandCascades() error {
 					newVals := slices.Clone(h.vals)
 					newVals[fkPos] = Null()
 					tx.seq++
-					childWrites[h.id] = &txWrite{op: opUpdate, vals: newVals, old: h.vals, baseTS: h.beginTS, seq: tx.seq}
+					childWrites[h.id] = &txWrite{op: opUpdate, cascade: true, vals: newVals, old: h.vals, baseTS: h.beginTS, seq: tx.seq}
 				default: // NoAction
 					cascadeErr = fmt.Errorf("%w: %s row referenced by %s.%s",
 						ErrForeignKeyViolation, item.table, e.childTable, e.fk.Column)
@@ -1281,8 +1174,7 @@ func (tx *Tx) parentExists(parent *table, parentLower string, pkPos int, ref Val
 // buildSummary computes the certification footprint of the transaction's
 // write set: its row keys plus the full column-value predicate fan-out of
 // every old and new image. The pipeline builds the summary at intent
-// registration (commitTS is stamped there); the serial path builds it at
-// install time.
+// registration, which stamps commitTS.
 func (tx *Tx) buildSummary(commitTS uint64) *txSummary {
 	db := tx.db
 	summary := &txSummary{
@@ -1323,7 +1215,7 @@ func (tx *Tx) buildSummary(commitTS uint64) *txSummary {
 }
 
 // install writes all buffered changes as committed versions with the given
-// timestamp. Caller holds the write tables' latches (or the exclusive gate);
+// timestamp. Caller holds the write tables' latches;
 // the clock is published by the caller after install completes so readers
 // never observe a partially installed commit.
 func (tx *Tx) install(commitTS uint64) {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -19,7 +20,7 @@ import (
 //	length:uint32BE  crc:uint32BE(Castagnoli, over payload)  payload
 //
 // and the payload's first byte is a record type. Commit records are appended
-// by the group-commit log writer after validation and before install, so a
+// by the group-commit leader after validation and before install, so a
 // record reaches the log if and only if the commit will be acknowledged; DDL
 // records are appended under catalogMu before the catalog mutation becomes
 // visible. Recovery scans the log until the first torn or
@@ -46,10 +47,10 @@ const (
 	recAddForeignKey byte = 5
 	// recGroupCommit frames a whole group-commit batch: a uvarint transaction
 	// count followed by length-prefixed complete recCommit payloads (type byte
-	// included), in CSN order. One frame, one checksum, one fsync for the
-	// batch; recovery replays the sub-records as if each had its own frame, so
-	// a torn frame discards the batch atomically — acknowledged commits are
-	// exactly the durable frames.
+	// included), in queue order. One frame, one checksum, one fsync for the
+	// batch; recovery replays all the sub-records or none, so a torn or
+	// undecodable frame discards the batch atomically — acknowledged commits
+	// are exactly the durable frames.
 	recGroupCommit byte = 6
 )
 
@@ -102,34 +103,51 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
+// errWALClosed fails appends, and so commits and DDL, after Database.Close.
+var errWALClosed = errors.New("storage: wal closed")
+
 // wal owns the append side of the log. Appends take wal.mu (innermost lock:
-// callers hold commitMu or catalogMu above it, never the reverse), write the
-// frame with WriteAt at a self-tracked offset, and fsync per policy. A failed
-// fsync or short write rolls the file back to the pre-append offset so an
-// aborted commit can never be replayed; if even the rollback fails the log is
-// poisoned and every later append fails rather than diverging from memory.
+// the group-commit leader and DDL under catalogMu call in, never the
+// reverse), write the frame with WriteAt at a self-tracked offset, and fsync
+// per policy. A failed fsync or short write rolls the file back to the
+// pre-append offset so an aborted commit can never be replayed; if even the
+// rollback fails the log is poisoned and every later append fails rather than
+// diverging from memory.
 type wal struct {
 	mu     sync.Mutex
 	f      *os.File
 	size   int64
 	policy SyncPolicy
 	hook   func(op string) error // Options.FaultHook, consulted at wal.* points
-	yield  func(point string)    // scheduler yield, fired after the hook passes
 	dirty  bool                  // bytes written since the last fsync
 	broken error                 // sticky poison after an unrecoverable failure
+	closed bool                  // close has begun; a second close is a no-op
+	buf    []byte                // frame assembly buffer, reused across appends
 
 	stop chan struct{} // closes the interval syncer
 	done chan struct{}
 }
 
+// walRecord is one record bound for the log: a commit or DDL payload, the
+// trace of the statement that produced it, and, for a queued commit record,
+// its group-commit state.
+type walRecord struct {
+	payload  []byte
+	tr       *obs.StmtTrace
+	enqueued time.Time // when it joined the group-commit queue
+	err      error     // the outcome of the frame that carried it
+	done     bool      // err is final; guarded by commitPipeline.groupMu
+	wake     sync.Cond // signals the waiting committer; L is groupMu
+}
+
 // openWAL opens (creating if absent) the log file and positions the writer at
 // size, which recovery has already truncated to the last valid record.
-func openWAL(path string, size int64, policy SyncPolicy, interval time.Duration, hook func(string) error, yield func(string)) (*wal, error) {
+func openWAL(path string, size int64, policy SyncPolicy, interval time.Duration, hook func(string) error) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{f: f, size: size, policy: policy, hook: hook, yield: yield}
+	w := &wal{f: f, size: size, policy: policy, hook: hook}
 	if policy == SyncInterval {
 		w.stop = make(chan struct{})
 		w.done = make(chan struct{})
@@ -138,29 +156,34 @@ func openWAL(path string, size int64, policy SyncPolicy, interval time.Duration,
 	return w, nil
 }
 
-// append frames payload and writes it durably per the sync policy. On any
-// failure the log is rolled back to its pre-append length, so the caller can
-// abort the operation knowing recovery will never observe it. tr, when
-// non-nil, receives the statement's wal_append (and nested wal_fsync) spans.
-func (w *wal) append(payload []byte, tr *obs.StmtTrace) error {
+// fault consults the fault hook at a wal.* point.
+func (w *wal) fault(point string) error {
+	if w.hook == nil {
+		return nil
+	}
+	return w.hook(point)
+}
+
+// append writes batch as one frame and makes it durable per the sync policy.
+// A batch of one is framed as its own record (a commit or DDL frame, byte for
+// byte); a larger batch, which only a group-commit leader builds from commit
+// records, becomes one recGroupCommit frame. Callers have already consulted
+// the wal.append fault point for each record.
+//
+// Under SyncAlways the wal.fsync fault point fires once per record before
+// the single real fsync, so fault points stay per transaction while the file
+// is synced once per batch. Any write or fsync failure rolls the file back to
+// the pre-frame offset and is returned for the whole batch: none of it was
+// acknowledged, none will be replayed. Each record's trace receives the
+// wal_append and wal_fsync spans.
+func (w *wal) append(batch []*walRecord) error {
 	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
 		return w.broken
 	}
-	if w.hook != nil {
-		if err := w.hook("wal.append"); err != nil {
-			return err
-		}
-	}
-	if w.yield != nil {
-		w.yield(YieldWALAppend)
-	}
-	frame := make([]byte, walHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[walHeaderSize:], payload)
+	frame := w.frame(batch)
 	off := w.size
 	if _, err := w.f.WriteAt(frame, off); err != nil {
 		w.rollbackTo(off)
@@ -169,39 +192,75 @@ func (w *wal) append(payload []byte, tr *obs.StmtTrace) error {
 	w.size = off + int64(len(frame))
 	w.dirty = true
 	if w.policy == SyncAlways {
-		if err := w.fsyncLocked(tr); err != nil {
+		for range batch {
+			if err := w.fault("wal.fsync"); err != nil {
+				w.rollbackTo(off)
+				return err
+			}
+		}
+		fstart := time.Now()
+		if err := w.syncFileLocked(); err != nil {
 			w.rollbackTo(off)
 			return err
 		}
+		fd := time.Since(fstart)
+		for _, r := range batch {
+			r.tr.Add(obs.SpanWALFsync, fd)
+		}
 	}
 	d := time.Since(start)
-	mWALAppends.Inc()
+	mWALAppends.Add(uint64(len(batch)))
 	mWALAppendSeconds.Observe(d)
-	tr.Add(obs.SpanWALAppend, d)
+	for _, r := range batch {
+		r.tr.Add(obs.SpanWALAppend, d)
+	}
 	return nil
 }
 
-// fsyncLocked flushes written records to stable storage. Caller holds w.mu.
-func (w *wal) fsyncLocked(tr *obs.StmtTrace) error {
+// walBufKeep bounds the frame buffer kept between appends: ordinary commit
+// and group frames fit, while a bulk load's frame is not pinned for the life
+// of the log.
+const walBufKeep = 4 << 10
+
+// frame assembles batch's frame (header, then the record or group payload)
+// in the reusable buffer. Caller holds w.mu.
+func (w *wal) frame(batch []*walRecord) []byte {
+	b := append(w.buf[:0], make([]byte, walHeaderSize)...)
+	if len(batch) == 1 {
+		b = append(b, batch[0].payload...)
+	} else {
+		b = append(b, recGroupCommit)
+		b = binary.AppendUvarint(b, uint64(len(batch)))
+		for _, r := range batch {
+			b = binary.AppendUvarint(b, uint64(len(r.payload)))
+			b = append(b, r.payload...)
+		}
+	}
+	payload := b[walHeaderSize:]
+	binary.BigEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[4:8], crc32.Checksum(payload, crcTable))
+	if cap(b) <= walBufKeep {
+		w.buf = b
+	} else {
+		w.buf = nil
+	}
+	return b
+}
+
+// fsyncLocked flushes written records to stable storage, consulting the
+// wal.fsync fault point first. Caller holds w.mu.
+func (w *wal) fsyncLocked() error {
 	if !w.dirty {
 		return nil
 	}
-	if w.hook != nil {
-		if err := w.hook("wal.fsync"); err != nil {
-			return err
-		}
+	if err := w.fault("wal.fsync"); err != nil {
+		return err
 	}
-	if w.yield != nil {
-		w.yield(YieldWALFsync)
-	}
-	return w.syncFileLocked(tr)
+	return w.syncFileLocked()
 }
 
-// syncFileLocked is the hook-free fsync: the group-commit path fires the
-// wal.fsync fault point once per batched transaction before calling this, so
-// chaos suites keep their per-transaction coverage while the file itself is
-// synced once per batch.
-func (w *wal) syncFileLocked(tr *obs.StmtTrace) error {
+// syncFileLocked is the hook-free fsync. Caller holds w.mu.
+func (w *wal) syncFileLocked() error {
 	if !w.dirty {
 		return nil
 	}
@@ -209,100 +268,10 @@ func (w *wal) syncFileLocked(tr *obs.StmtTrace) error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("storage: wal fsync: %w", err)
 	}
-	d := time.Since(start)
 	mWALFsyncs.Inc()
-	mWALFsyncSeconds.Observe(d)
-	tr.Add(obs.SpanWALFsync, d)
+	mWALFsyncSeconds.Observe(time.Since(start))
 	w.dirty = false
 	return nil
-}
-
-// appendGroup writes a batch of commit records as one frame — a plain
-// recCommit frame for a batch of one (byte-identical to the serial path), a
-// recGroupCommit frame otherwise — and fsyncs once per the policy.
-//
-// Fault-point semantics stay per-transaction: the wal.append hook fires for
-// every submission (a failure drops just that submission from the frame with
-// its error delivered immediately), and under SyncAlways the wal.fsync hook
-// fires once per surviving submission before the single real fsync. Any frame
-// write or fsync failure rolls the file back to the pre-frame offset and the
-// error is returned for every survivor: none of the batch was acknowledged,
-// none will be replayed.
-//
-// The returned slice holds the submissions whose outcome is the returned
-// error; submissions rejected by the append hook have already received their
-// individual errors.
-func (w *wal) appendGroup(batch []*walSubmission) ([]*walSubmission, error) {
-	start := time.Now()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.broken != nil {
-		return batch, w.broken
-	}
-	survivors := make([]*walSubmission, 0, len(batch))
-	for _, s := range batch {
-		if w.hook != nil {
-			if err := w.hook("wal.append"); err != nil {
-				s.res <- err
-				continue
-			}
-		}
-		if w.yield != nil {
-			w.yield(YieldWALAppend)
-		}
-		survivors = append(survivors, s)
-	}
-	if len(survivors) == 0 {
-		return nil, nil
-	}
-	var payload []byte
-	if len(survivors) == 1 {
-		payload = survivors[0].payload
-	} else {
-		payload = []byte{recGroupCommit}
-		payload = binary.AppendUvarint(payload, uint64(len(survivors)))
-		for _, s := range survivors {
-			payload = binary.AppendUvarint(payload, uint64(len(s.payload)))
-			payload = append(payload, s.payload...)
-		}
-	}
-	frame := make([]byte, walHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[walHeaderSize:], payload)
-	off := w.size
-	if _, err := w.f.WriteAt(frame, off); err != nil {
-		w.rollbackTo(off)
-		return survivors, fmt.Errorf("storage: wal append: %w", err)
-	}
-	w.size = off + int64(len(frame))
-	w.dirty = true
-	if w.policy == SyncAlways {
-		if w.hook != nil {
-			for range survivors {
-				if err := w.hook("wal.fsync"); err != nil {
-					w.rollbackTo(off)
-					return survivors, err
-				}
-			}
-		}
-		fstart := time.Now()
-		if err := w.syncFileLocked(nil); err != nil {
-			w.rollbackTo(off)
-			return survivors, err
-		}
-		fd := time.Since(fstart)
-		for _, s := range survivors {
-			s.tr.Add(obs.SpanWALFsync, fd)
-		}
-	}
-	d := time.Since(start)
-	mWALAppends.Add(uint64(len(survivors)))
-	mWALAppendSeconds.Observe(d)
-	for _, s := range survivors {
-		s.tr.Add(obs.SpanWALAppend, d)
-	}
-	return survivors, nil
 }
 
 // rollbackTo truncates the file back to off after a failed append or fsync.
@@ -343,7 +312,7 @@ func (w *wal) syncLoop(interval time.Duration) {
 		select {
 		case <-t.C:
 			w.mu.Lock()
-			_ = w.fsyncLocked(nil)
+			_ = w.fsyncLocked()
 			w.mu.Unlock()
 		case <-w.stop:
 			return
@@ -351,18 +320,27 @@ func (w *wal) syncLoop(interval time.Duration) {
 	}
 }
 
-// close flushes and closes the log file, stopping the interval syncer first.
+// close stops the interval syncer, then flushes and closes the log file.
+// Later appends fail with errWALClosed, and a second close returns nil.
 func (w *wal) close() error {
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		return nil
+	}
+	w.closed = true
+	w.mu.Unlock()
 	if w.stop != nil {
 		close(w.stop)
 		<-w.done
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	err := w.fsyncLocked(nil)
+	err := w.fsyncLocked()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
+	w.broken = errWALClosed
 	return err
 }
 
